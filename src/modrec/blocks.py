@@ -21,7 +21,7 @@ class Linear:
         self.b = Parameter(np.zeros(d_out), f"{name}.b")
 
     def __call__(self, x):
-        return nm.add(nm.matmul(x, self.W), self.b)
+        return nm.linear(x, self.W, self.b)
 
     def params(self):
         return [self.W, self.b]

@@ -63,7 +63,7 @@ def inbatch_ce(scores, target_cols, excl_mask=None):
         if np.any(visible <= 1):
             warnings.warn("row candidate set collapsed to the target alone (loss 0)")
     lse = nm.logsumexp(masked, axis=1)
-    tgt = nm.select_columns(masked, target_cols)
+    tgt = nm.take_steps(masked, target_cols)
     return nm.tsum(nm.sub(lse, tgt))
 
 

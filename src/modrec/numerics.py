@@ -3,6 +3,22 @@
 Everything downstream (item towers, sequence towers, losses) is composed
 from the primitives in this module, so every gradient in the project is
 checkable against finite differences through a single code path.
+
+The hot composites (`linear`, `relu`, `layer_norm`, `masked_attention`,
+`dropout`) are fused: each is one graph node instead of a chain of
+primitives. A fused op keeps the chain's arithmetic exactly. Its forward
+and backward run the same NumPy expressions in the same order, and its
+backward hands each input its gradient contributions in the chain's order,
+one `_accum` call per contribution. Results therefore match the chain bit
+for bit, except for the sign of some zeros: `relu` (`np.maximum`) returns
++0.0 where the chain returned -0.0, and `_accum` keeps a -0.0 gradient
+entry where the chain's `0.0 + g` gave +0.0. Zeros of either sign compare
+equal, and metrics, losses and trained parameters stay byte-identical.
+A fused op still raises `NonFiniteError` wherever the chain did:
+its output is checked like every Tensor, and so is each intermediate whose
+non-finite value the rest of the op would absorb (`var` in `layer_norm`;
+the scaled, masked scores in `masked_attention`, where softmax would turn
+a -inf into 0).
 """
 
 from __future__ import annotations
@@ -37,7 +53,7 @@ class NonFiniteError(FloatingPointError):
 
 
 def _check_finite(data, what="tensor value"):
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise NonFiniteError(f"non-finite {what} encountered")
 
 
@@ -165,8 +181,13 @@ def _accum(t, g):
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # A copy, never g itself: one g may be handed to several parents.
+        # empty_like gives the gradient t.data's memory layout whatever g's
+        # is, and the layout fixes the order in which reductions sum it.
+        t.grad = np.empty_like(t.data)
+        np.copyto(t.grad, g)
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g, shape):
@@ -287,7 +308,13 @@ def leaky_relu(a, slope=0.01):
 
 
 def relu(a):
-    return leaky_relu(a, 0.0)
+    a = _wrap(a)
+    pos = a.data > 0
+
+    def bwd(g):
+        _accum(a, g * pos)
+
+    return _make(np.maximum(a.data, 0.0), (a,), bwd)
 
 
 # -- shape / indexing primitives -----------------------------------------------
@@ -360,11 +387,6 @@ def take_steps(a, idx):
         _accum(a, ga)
 
     return _make(a.data[rows, idx], (a,), bwd)
-
-
-def select_columns(a, idx):
-    """out[i] = a[i, idx[i]] for a 2-D score matrix; returns a length-B vector."""
-    return take_steps(a, idx)
 
 
 # -- reductions -----------------------------------------------------------------
@@ -457,29 +479,137 @@ def matmul(a, b):
     return _make(np.matmul(a.data, b.data), (a, b), bwd)
 
 
+def linear(x, W, b):
+    """x @ W + b; the arithmetic of add(matmul(x, W), b)."""
+    x, W, b = _wrap(x), _wrap(W), _wrap(b)
+    if x.data.ndim < 2 or W.data.ndim < 2:
+        raise ValueError("matmul operands must have ndim >= 2")
+    out_data = np.matmul(x.data, W.data)
+    out_data += b.data
+
+    def bwd(g):
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.data.shape))
+        if x.requires_grad:
+            gx = np.matmul(g, np.swapaxes(W.data, -1, -2))
+            _accum(x, _unbroadcast(gx, x.data.shape))
+        if W.requires_grad:
+            gw = np.matmul(np.swapaxes(x.data, -1, -2), g)
+            _accum(W, _unbroadcast(gw, W.data.shape))
+
+    # Parent order makes the graph walk visit b, W, x as it did the chain.
+    return _make(out_data, (x, W, b), bwd)
+
+
 def layer_norm(x, gamma, beta, eps=1e-5):
-    """Normalization over the last axis with learnable scale and shift."""
-    mu = tmean(x, axis=-1, keepdims=True)
-    xc = sub(x, mu)
-    var = tmean(mul(xc, xc), axis=-1, keepdims=True)
-    inv = powc(add(var, eps), -0.5)
-    return add(mul(mul(xc, inv), gamma), beta)
+    """Normalization over the last axis with a learnable per-feature scale
+    and shift (gamma and beta of shape (d,)).
+
+    One node with the arithmetic of the chain mu = mean(x), xc = x - mu,
+    var = mean(xc * xc), inv = (var + eps) ** -0.5, out = xc * inv * gamma
+    + beta. Its backward replays that chain's node order, so x gets its two
+    contributions (through xc, then through mu) as two `_accum` calls.
+    """
+    x, gamma, beta = _wrap(x), _wrap(gamma), _wrap(beta)
+    n = x.data.shape[-1]
+    p = -0.5
+    mu = x.data.mean(axis=-1, keepdims=True)
+    xc = x.data - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    # xc * xc can overflow while out stays finite (inv becomes 0).
+    _check_finite(var)
+    ve = var + eps
+    inv = np.power(ve, p)
+    xhat = xc * inv
+    out_data = xhat * gamma.data
+    out_data += beta.data
+
+    def bwd(g):
+        if beta.requires_grad:
+            _accum(beta, _unbroadcast(g, beta.data.shape))
+        if gamma.requires_grad:
+            _accum(gamma, _unbroadcast(g * xhat, gamma.data.shape))
+        if not x.requires_grad:
+            return
+        g_xhat = g * gamma.data
+        g_xc = g_xhat * inv
+        g_inv = _unbroadcast(g_xhat * xc, inv.shape)
+        g_var = g_inv * p * np.power(ve, p - 1.0)
+        g_sq_xc = np.broadcast_to(g_var / n, xc.shape) * xc
+        g_xc += g_sq_xc  # xc * xc feeds xc twice
+        g_xc += g_sq_xc
+        _accum(x, g_xc)
+        g_mu = _unbroadcast(-g_xc, mu.shape)
+        _accum(x, np.broadcast_to(g_mu / n, x.data.shape))
+
+    # Parent order makes the graph walk visit beta, gamma, x as it did the chain.
+    return _make(out_data, (x, gamma, beta), bwd)
 
 
 def masked_attention(q, k, v, mask, scale):
-    """softmax(q k^T * scale + mask) v with an additive mask (0 or MASKED)."""
-    scores = mul(matmul(q, transpose_last(k)), scale)
+    """softmax(q k^T * scale + mask) v with an additive mask (0 or MASKED).
+
+    One node with the arithmetic of the chain matmul, mul, add, softmax,
+    matmul. `scale` and `mask` are constants; the mask must broadcast to
+    the shape of q k^T. The softmax probabilities are kept for the backward
+    pass, which hands v, q, then k their gradients, the chain's order. k's
+    gradient is still computed as (q^T @ g)^T, the transpose of what the
+    chain gave k^T: computing it directly can round differently. Only if k
+    also fed nodes that q depends on would k's contributions arrive in
+    another order than in the chain.
+    """
+    q, k, v = _wrap(q), _wrap(k), _wrap(v)
+    if q.data.ndim < 2 or k.data.ndim < 2:
+        raise ValueError("matmul operands must have ndim >= 2")
+    scale = _wrap(scale).data
+    kt = np.swapaxes(k.data, -1, -2)
+    scores = np.matmul(q.data, kt)
+    scores *= scale
     if mask is not None:
-        scores = add(scores, mask)
-    return matmul(softmax(scores, axis=-1), v)
+        scores += _wrap(mask).data
+    # softmax maps a -inf score to a probability of exactly 0.
+    _check_finite(scores)
+    scores -= scores.max(axis=-1, keepdims=True)
+    probs = np.exp(scores)
+    probs /= probs.sum(axis=-1, keepdims=True)
+
+    def bwd(g):
+        if v.requires_grad:
+            gv = np.matmul(np.swapaxes(probs, -1, -2), g)
+            _accum(v, _unbroadcast(gv, v.data.shape))
+        if not (q.requires_grad or k.requires_grad):
+            return
+        g_probs = np.matmul(g, np.swapaxes(v.data, -1, -2))
+        g_scores = g_probs - (g_probs * probs).sum(axis=-1, keepdims=True)
+        g_scores *= probs
+        g_scores *= scale
+        if q.requires_grad:
+            gq = np.matmul(g_scores, np.swapaxes(kt, -1, -2))
+            _accum(q, _unbroadcast(gq, q.data.shape))
+        if k.requires_grad:
+            gkt = np.matmul(np.swapaxes(q.data, -1, -2), g_scores)
+            _accum(k, np.swapaxes(_unbroadcast(gkt, kt.shape), -1, -2))
+
+    # Parent order makes the graph walk visit v, k, q as it did the chain.
+    return _make(np.matmul(probs, v.data), (q, k, v), bwd)
 
 
 def dropout(x, p, rng):
-    """Inverted dropout; identity when p == 0."""
+    """Inverted dropout; identity when p == 0.
+
+    One node with the arithmetic of mul(x, Tensor(keep)), drawing one
+    rng.random(x.shape) per call.
+    """
     if p <= 0.0:
         return x
+    x = _wrap(x)
+    # At p == 1 every keep entry, so every output entry, is inf or nan.
     keep = (rng.random(x.data.shape) >= p) / (1.0 - p)
-    return mul(x, Tensor(keep))
+
+    def bwd(g):
+        _accum(x, g * keep)
+
+    return _make(x.data * keep, (x,), bwd)
 
 
 # -- optimizer ----------------------------------------------------------------------

@@ -1,13 +1,21 @@
+import contextlib
+import inspect
+
 import numpy as np
 import pytest
 
 from conftest import finite_difference_check
 from modrec import numerics as nm
+from modrec.blocks import TransformerLayer
 from modrec.numerics import Adam, MASKED, NonFiniteError, Parameter, Tensor
 
 
 def _param(rng, shape, name):
     return Parameter(rng.normal(size=shape), name)
+
+
+def _causal(length):
+    return np.triu(np.full((length, length), MASKED), k=1)
 
 
 # -- primitive gradients vs finite differences ---------------------------------
@@ -30,6 +38,11 @@ PRIMITIVES = {
     "concat": lambda a, b: nm.concat([a, b], axis=1),
     "permute": lambda a, b: nm.permute(nm.reshape(a, (2, 5, 3)), (1, 0, 2)),
     "mean": lambda a, b: nm.tmean(nm.mul(a, b), axis=0),
+    "relu": lambda a, b: nm.relu(a),
+    "log_softmax": lambda a, b: nm.log_softmax(nm.mul(a, b), axis=0),
+    "tsum": lambda a, b: nm.tsum(nm.mul(a, b), axis=1, keepdims=True),
+    "take_rows": lambda a, b: nm.take_rows(a, np.array([[0, 2], [4, 2]])),
+    "take_steps": lambda a, b: nm.take_steps(nm.reshape(b, (5, 2, 3)), np.array([1, 0, 0, 1, 1])),
 }
 
 
@@ -42,6 +55,97 @@ def test_primitive_gradients_match_finite_differences(name):
     # fixed random weights keep the reduction to a scalar generic
     w = Tensor(rng.normal(size=op(a, b).shape))
     finite_difference_check(lambda: nm.tsum(nm.mul(op(a, b), w)), [a, b])
+
+
+# Fused ops at the shapes the model uses them. Each entry builds a scalar
+# loss over Parameters for finite_difference_check.
+
+
+def _fused_linear(rng):
+    x, W, b = _param(rng, (3, 4, 5), "x"), _param(rng, (5, 6), "W"), _param(rng, (6,), "b")
+    w = Tensor(rng.normal(size=(3, 4, 6)))
+    return lambda: nm.tsum(nm.mul(nm.linear(x, W, b), w)), [x, W, b]
+
+
+def _fused_layer_norm(rng):
+    x, g, b = _param(rng, (3, 4, 7), "x"), _param(rng, (7,), "g"), _param(rng, (7,), "b")
+    w = Tensor(rng.normal(size=(3, 4, 7)))
+    return lambda: nm.tsum(nm.mul(nm.layer_norm(x, g, b), w)), [x, g, b]
+
+
+def _fused_masked_attention(rng):
+    q, k, v = (_param(rng, (2, 2, 4, 3), name) for name in "qkv")
+    w = Tensor(rng.normal(size=(2, 2, 4, 3)))
+    mask = _causal(4)
+    return (lambda: nm.tsum(nm.mul(nm.masked_attention(q, k, v, mask, 0.7), w)),
+            [q, k, v])
+
+
+def _fused_dropout(rng):
+    x = _param(rng, (4, 6), "x")
+    w = Tensor(rng.normal(size=(4, 6)))
+    # a fresh generator per build draws the same keep mask every time
+    return (lambda: nm.tsum(nm.mul(nm.dropout(x, 0.3, np.random.default_rng(4)), w)),
+            [x])
+
+
+FUSED = {
+    "linear": _fused_linear,
+    "layer_norm": _fused_layer_norm,
+    "masked_attention": _fused_masked_attention,
+    "dropout": _fused_dropout,
+}
+
+
+def _public_ops():
+    return {
+        name: fn for name, fn in vars(nm).items()
+        if inspect.isfunction(fn) and fn.__module__ == nm.__name__
+        and not name.startswith("_")
+    }
+
+
+def _ops_called(build):
+    """Names of the public numerics functions that `build()` calls."""
+    called = set()
+
+    def recording(name, fn):
+        def op(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+        return op
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name, fn in _public_ops().items():
+            mp.setattr(nm, name, recording(name, fn))
+        build()
+    return called
+
+
+@pytest.mark.parametrize("name", sorted(FUSED))
+def test_fused_op_gradients_match_finite_differences(name):
+    build, params = FUSED[name](np.random.default_rng(13))
+    assert name in _ops_called(build)
+    finite_difference_check(build, params, max_coords=12)
+
+
+# Public numerics functions that build no differentiable node. Every other
+# public function must run inside some finite-difference check above.
+NOT_DIFFERENTIABLE = frozenset()
+
+
+def test_every_differentiable_op_has_a_gradient_check():
+    public = set(_public_ops())
+    assert NOT_DIFFERENTIABLE <= public, "stale allow-list entry"
+    rng = np.random.default_rng(0)
+    covered = set()
+    for op in PRIMITIVES.values():
+        a, b = _param(rng, (5, 6), "a"), _param(rng, (5, 6), "b")
+        covered |= _ops_called(lambda: op(a, b))
+    for make in FUSED.values():
+        covered |= _ops_called(make(rng)[0])
+    missing = public - covered - NOT_DIFFERENTIABLE
+    assert not missing, f"ops without a finite-difference check: {sorted(missing)}"
 
 
 def test_batched_matmul_gradients():
@@ -95,6 +199,174 @@ def test_take_rows_and_take_steps_gradients():
     finite_difference_check(
         lambda: nm.tsum(nm.mul(nm.take_steps(x, np.array([1, 0, 4])), w2)), [x]
     )
+
+
+# -- fused ops against the primitive chains they replace -------------------------
+# Each reference is the chain of primitives the fused op was before fusion.
+# Outputs and every input gradient must agree bit for bit.
+
+
+def chain_linear(x, W, b):
+    return nm.add(nm.matmul(x, W), b)
+
+
+def chain_relu(a):
+    return nm.leaky_relu(a, 0.0)
+
+
+def chain_layer_norm(x, gamma, beta, eps=1e-5):
+    mu = nm.tmean(x, axis=-1, keepdims=True)
+    xc = nm.sub(x, mu)
+    var = nm.tmean(nm.mul(xc, xc), axis=-1, keepdims=True)
+    inv = nm.powc(nm.add(var, eps), -0.5)
+    return nm.add(nm.mul(nm.mul(xc, inv), gamma), beta)
+
+
+def chain_masked_attention(q, k, v, mask, scale):
+    scores = nm.mul(nm.matmul(q, nm.transpose_last(k)), scale)
+    if mask is not None:
+        scores = nm.add(scores, mask)
+    return nm.matmul(nm.softmax(scores, axis=-1), v)
+
+
+def chain_dropout(x, p, rng):
+    if p <= 0.0:
+        return x
+    keep = (rng.random(x.data.shape) >= p) / (1.0 - p)
+    return nm.mul(x, Tensor(keep))
+
+
+CHAINS = {
+    "linear": chain_linear,
+    "relu": chain_relu,
+    "layer_norm": chain_layer_norm,
+    "masked_attention": chain_masked_attention,
+    "dropout": chain_dropout,
+}
+
+
+def _leaf(data):
+    # a non-Parameter leaf starts with grad None, so it takes _accum's
+    # first-touch path as the model's intermediate nodes do
+    return Tensor(np.array(data), requires_grad=True)
+
+
+def _split_heads(t, heads):
+    n, length, d = t.shape
+    return nm.permute(nm.reshape(t, (n, length, heads, d // heads)), (0, 2, 1, 3))
+
+
+def _exact_cases(rng):
+    """name -> (inputs, call(op, inputs) -> Tensor), at the model's layouts."""
+    x3 = rng.normal(size=(6, 5, 8))
+    mask = _causal(5)
+    return {
+        "linear": ([x3, rng.normal(size=(8, 12)), rng.normal(size=12)],
+                   lambda op, t: op(*t)),
+        "relu": ([x3], lambda op, t: op(t[0])),
+        "layer_norm": ([x3 * 3.0 + 1.0, rng.normal(size=8), rng.normal(size=8)],
+                       lambda op, t: op(*t)),
+        # q, k, v are head-split views of (N, L, d) leaves, as in the model
+        "masked_attention": ([x3, rng.normal(size=(6, 5, 8)), rng.normal(size=(6, 5, 8))],
+                             lambda op, t: op(*(_split_heads(u, 2) for u in t), mask, 0.5)),
+        "dropout": ([x3], lambda op, t: op(t[0], 0.3, np.random.default_rng(8))),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(CHAINS))
+def test_fused_op_matches_primitive_chain_exactly(name):
+    inputs, call = _exact_cases(np.random.default_rng(21))[name]
+    results = []
+    for op in (getattr(nm, name), CHAINS[name]):
+        rng = np.random.default_rng(5)
+        leaves = [_leaf(a) for a in inputs]
+        out = call(op, leaves)
+        # The first term of the root reaches every leaf directly, and its
+        # gradient lands first, so the op's contributions are added to an
+        # existing gradient in the chain's order.
+        direct = [nm.tsum(nm.mul(t, Tensor(rng.normal(size=t.shape)))) for t in leaves]
+        first = direct[0]
+        for term in direct[1:]:
+            first = nm.add(first, term)
+        w = Tensor(rng.normal(size=out.shape))
+        nm.add(first, nm.tsum(nm.mul(out, w))).backward()
+        results.append((out.data, [t.grad for t in leaves]))
+    (fused, fused_grads), (chain, chain_grads) = results
+    np.testing.assert_array_equal(fused, chain)
+    for gf, gc in zip(fused_grads, chain_grads):
+        np.testing.assert_array_equal(gf, gc)
+
+
+def test_transformer_layer_matches_primitive_chains_exactly(monkeypatch):
+    """A whole encoder layer, residuals and shared inputs included."""
+
+    def run():
+        rng = np.random.default_rng(3)
+        layer = TransformerLayer(rng, 8, 2, "layer")
+        x = _leaf(rng.normal(size=(4, 5, 8)))
+        out = layer(x, mask=_causal(5), drop=0.2, rng=np.random.default_rng(6))
+        nm.tsum(nm.mul(out, Tensor(rng.normal(size=out.shape)))).backward()
+        return [out.data, x.grad] + [p.grad for p in layer.params()]
+
+    fused = run()
+    for name, chain in CHAINS.items():
+        monkeypatch.setattr(nm, name, chain)
+    chained = run()
+    for a, b in zip(fused, chained):
+        np.testing.assert_array_equal(a, b)
+
+
+# -- non-finite values raise where the chains raised -------------------------------
+
+
+# name -> (op, arguments). The fused op and its chain must both raise.
+NON_FINITE_CASES = {
+    # xc * xc overflows; with no check on var, layer_norm would return beta
+    "layer_norm": ("layer_norm", [
+        np.array([[1e200, -1e200, 1.0, 2.0], [0.5, 1e200, -2.0, 3.0]]),
+        np.ones(4), np.zeros(4)]),
+    # q k^T is -inf in one column; softmax alone would map it to 0
+    "masked_attention": ("masked_attention", [
+        np.array([[[1e200, 0.0], [1.0, 0.0]]]), np.array([[[-1e200, 0.0], [1.0, 1.0]]]),
+        np.ones((1, 2, 2)), None, 1.0]),
+    "masked_attention_inf_mask": ("masked_attention", [
+        np.ones((1, 2, 2)), np.ones((1, 2, 2)), np.ones((1, 2, 2)),
+        np.array([[0.0, -np.inf], [0.0, 0.0]]), 1.0]),
+    "linear": ("linear", [np.array([[1.0, np.inf]]), np.ones((2, 3)), np.zeros(3)]),
+    "linear_overflow": ("linear", [
+        np.array([[1e200, 1e200]]), np.full((2, 3), 1e200), np.zeros(3)]),
+    "dropout_p_one": ("dropout", [np.ones((2, 3)), 1.0, np.random.default_rng(0)]),
+}
+
+
+@pytest.mark.parametrize("grad", [True, False], ids=["grad", "no_grad"])
+@pytest.mark.parametrize("case", sorted(NON_FINITE_CASES))
+def test_fused_ops_raise_non_finite_like_the_chains(case, grad):
+    name, args = NON_FINITE_CASES[case]
+    # finite arrays become Parameters, so with grad on the ops build graph nodes
+    args = [Parameter(a, "in") if isinstance(a, np.ndarray) and np.isfinite(a).all()
+            else a for a in args]
+    for op in (getattr(nm, name), CHAINS[name]):
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteError):
+            with contextlib.nullcontext() if grad else nm.no_grad():
+                op(*args)
+
+
+# -- gradient accumulation -------------------------------------------------------
+
+
+def test_first_touch_gradients_do_not_alias():
+    # add hands the same g to both parents; each must get its own buffer
+    a, b = _leaf(np.ones((2, 3))), _leaf(np.ones((2, 3)))
+    w = np.arange(6.0).reshape(2, 3)
+    nm.tsum(nm.mul(nm.add(a, b), Tensor(w))).backward()
+    np.testing.assert_array_equal(a.grad, w)
+    np.testing.assert_array_equal(b.grad, w)
+    assert not np.shares_memory(a.grad, b.grad)
+    x = _leaf(np.ones((2, 3)))
+    g = np.random.default_rng(1).normal(size=(2, 3))
+    nm.tsum(nm.mul(nm.add(x, x), Tensor(g))).backward()
+    np.testing.assert_array_equal(x.grad, 2 * g)
 
 
 # -- graph semantics -------------------------------------------------------------
