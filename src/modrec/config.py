@@ -92,6 +92,17 @@ class ExperimentConfig:
             raise ValueError(
                 f"train.fusion must be collaborative|early|late, got {self.train.fusion!r}"
             )
+        m = self.model
+        if m.d < 1:
+            raise ValueError(f"model.d must be at least 1, got {m.d}")
+        if m.heads < 1 or m.d % m.heads:
+            raise ValueError(
+                f"model.heads must be a positive divisor of model.d={m.d}, got {m.heads}"
+            )
+        if m.gru_layers < 1:
+            raise ValueError(f"model.gru_layers must be at least 1, got {m.gru_layers}")
+        if not 0.0 <= m.dropout < 1.0:
+            raise ValueError(f"model.dropout must lie in [0, 1), got {m.dropout}")
         if not self.eval.ks:
             raise ValueError("eval.ks must be nonempty")
         if self.model.max_len != self.data.max_len:

@@ -5,11 +5,11 @@ from the primitives in this module, so every gradient in the project is
 checkable against finite differences through a single code path.
 
 The hot composites (`linear`, `relu`, `layer_norm`, `masked_attention`,
-`dropout`) are fused: each is one graph node instead of a chain of
-primitives. A fused op keeps the chain's arithmetic exactly. Its forward
-and backward run the same NumPy expressions in the same order, and its
-backward hands each input its gradient contributions in the chain's order,
-one `_accum` call per contribution. Results therefore match the chain bit
+`dropout`, `gru_layer`) are fused: each is one graph node instead of a
+chain of primitives. A fused op keeps the chain's arithmetic exactly. Its
+forward and backward run the same NumPy expressions in the same order, and
+its backward hands each input its gradient contributions in the chain's
+order, one `_accum` call per contribution. Results therefore match the chain bit
 for bit, except for the sign of some zeros: `relu` (`np.maximum`) returns
 +0.0 where the chain returned -0.0, and `_accum` keeps a -0.0 gradient
 entry where the chain's `0.0 + g` gave +0.0. Zeros of either sign compare
@@ -18,7 +18,7 @@ A fused op still raises `NonFiniteError` wherever the chain did:
 its output is checked like every Tensor, and so is each intermediate whose
 non-finite value the rest of the op would absorb (`var` in `layer_norm`;
 the scaled, masked scores in `masked_attention`, where softmax would turn
-a -inf into 0).
+a -inf into 0; each gate's pre-activation in `gru_layer`).
 """
 
 from __future__ import annotations
@@ -113,35 +113,6 @@ class Tensor:
                 node._backward(node.grad)
             if node is not self and node._parents:
                 node.grad = None  # free intermediates; leaves keep theirs
-
-    # -- operator sugar ------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -610,6 +581,97 @@ def dropout(x, p, rng):
         _accum(x, g * keep)
 
     return _make(x.data * keep, (x,), bwd)
+
+
+def gru_layer(x, lengths, Wxr, Whr, br, Wxz, Whz, bz, Wxn, Whn, bn):
+    """All states (B, T, d) of one GRU layer over right-padded x (B, T, d_in).
+
+    From h = 0, each step t runs the cell
+        r = sigmoid(x_t Wxr + h Whr + br), z = sigmoid(x_t Wxz + h Whz + bz),
+        n = tanh(x_t Wxn + r * (h Whn) + bn), h' = (1 - z) * n + z * h
+    and keeps h' only in rows with t < lengths: past its end a row's state
+    is frozen, so the state at lengths - 1 is that of the unpadded sequence.
+
+    One node with the arithmetic of that recurrence unrolled into
+    primitives, step by step. Its backward replays the unrolled graph's
+    walk: steps T-1 ... 0, one contribution per step to each weight, and
+    each state's gradient summed in the chain's order. x's gradient is one
+    `_accum` of all steps at once; its columns do not overlap, so only the
+    sign of zeros can differ from the chain's T per-step contributions.
+    sigmoid and tanh map inf to a finite value, so each gate's
+    pre-activation is checked.
+    """
+    x = _wrap(x)
+    weights = tuple(_wrap(w) for w in (Wxr, Whr, br, Wxz, Whz, bz, Wxn, Whn, bn))
+    Wxr, Whr, br, Wxz, Whz, bz, Wxn, Whn, bn = weights
+    parents = (x,) + weights
+    b, t, _ = x.data.shape
+    lengths = np.asarray(lengths)
+    # (T, B, 1): alive[s] is the chain's per-step mask
+    alive = (lengths > np.arange(t)[:, None]).astype(np.float64)[:, :, None]
+    # xs[s] is the chain's contiguous take_steps copy of x[:, s]
+    xs = np.ascontiguousarray(np.swapaxes(x.data, 0, 1))
+    hs = np.zeros((t + 1, b, Whr.data.shape[0]))
+    keep = _grad_enabled and any(p.requires_grad for p in parents)
+    gates = []
+    for s in range(t):
+        xt, h = xs[s], hs[s]
+        pre_r = np.matmul(xt, Wxr.data) + np.matmul(h, Whr.data)
+        pre_r += br.data
+        _check_finite(pre_r, "GRU reset-gate pre-activation")
+        r = 1.0 / (1.0 + np.exp(-pre_r))
+        pre_z = np.matmul(xt, Wxz.data) + np.matmul(h, Whz.data)
+        pre_z += bz.data
+        _check_finite(pre_z, "GRU update-gate pre-activation")
+        z = 1.0 / (1.0 + np.exp(-pre_z))
+        hWn = np.matmul(h, Whn.data)
+        pre_n = np.matmul(xt, Wxn.data) + r * hWn
+        pre_n += bn.data
+        _check_finite(pre_n, "GRU candidate pre-activation")
+        n = np.tanh(pre_n)
+        h_next = (1.0 - z) * n + z * h
+        np.add(alive[s] * h_next, (1.0 - alive[s]) * h, out=hs[s + 1])
+        if keep:
+            gates.append((r, z, n, hWn))
+
+    def bwd(g):
+        def gate(gpre, gpre_h, Wx, Wh, bias, xt, h):
+            """Give one gate's weights their step contribution; return the
+            gradient parts for x_t and h."""
+            _accum(bias, _unbroadcast(gpre, bias.data.shape))
+            _accum(Wx, np.matmul(xt.T, gpre))
+            _accum(Wh, np.matmul(h.T, gpre_h))
+            return np.matmul(gpre, Wx.data.T), np.matmul(gpre_h, Wh.data.T)
+
+        gx = np.empty_like(x.data)
+        gh = g[:, t - 1].copy()
+        for s in reversed(range(t)):
+            r, z, n, hWn = gates[s]
+            xt, h, a = xs[s], hs[s], alive[s]
+            ghn = gh * a  # gradient of h'
+            gn = ghn * (1.0 - z)
+            gz = -(ghn * n)
+            gpre = gn * (1.0 - n * n)
+            gxt, gh_via_n = gate(gpre, gpre * r, Wxn, Whn, bn, xt, h)
+            gpre = gpre * hWn * r * (1.0 - r)  # r's gradient, through the sigmoid
+            gx_r, gh_via_r = gate(gpre, gpre, Wxr, Whr, br, xt, h)
+            gxt += gx_r
+            gz += ghn * h
+            gpre = gz * z * (1.0 - z)
+            gx_z, gh_via_z = gate(gpre, gpre, Wxz, Whz, bz, xt, h)
+            gxt += gx_z
+            gx[:, s] = gxt
+            if s > 0:  # the state before step 0 is a constant
+                gh_prev = g[:, s - 1].copy()
+                gh_prev += gh_via_r
+                gh_prev += gh_via_n
+                gh_prev += ghn * z
+                gh_prev += gh_via_z
+                gh_prev += gh * (1.0 - a)
+                gh = gh_prev
+        _accum(x, gx)
+
+    return _make(np.ascontiguousarray(np.swapaxes(hs[1:], 0, 1)), parents, bwd)
 
 
 # -- optimizer ----------------------------------------------------------------------

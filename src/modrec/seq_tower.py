@@ -11,7 +11,7 @@ import numpy as np
 
 from . import numerics as nm
 from .blocks import Linear, TransformerStack, xavier
-from .numerics import MASKED, Parameter, Tensor
+from .numerics import MASKED, Parameter
 
 BACKBONES = ("self_attention", "recurrent")
 
@@ -65,30 +65,15 @@ class GruSeqTower:
                 cell[f"b{gate}"] = Parameter(np.zeros(d), f"{name}.gru{i}.b{gate}")
             self.cells.append(cell)
 
-    def _step(self, cell, x, h):
-        r = nm.sigmoid(nm.add(nm.add(nm.matmul(x, cell["Wxr"]), nm.matmul(h, cell["Whr"])), cell["br"]))
-        z = nm.sigmoid(nm.add(nm.add(nm.matmul(x, cell["Wxz"]), nm.matmul(h, cell["Whz"])), cell["bz"]))
-        n = nm.tanh(nm.add(nm.add(nm.matmul(x, cell["Wxn"]), nm.mul(r, nm.matmul(h, cell["Whn"]))), cell["bn"]))
-        return nm.add(nm.mul(nm.sub(1.0, z), n), nm.mul(z, h))
-
     def encode_batch(self, item_vecs, lengths, drop=0.0, rng=None):
-        b, t, d = item_vecs.shape
+        """item_vecs: (B, T, d) right-padded; lengths: (B,) real lengths.
+        `drop` is accepted for the common interface; the GRU applies none."""
         lengths = np.asarray(lengths, dtype=np.int64)
         if np.any(lengths < 1):
             raise ValueError("empty sequence")
         x = item_vecs
         for cell in self.cells:
-            h = Tensor(np.zeros((b, d)))
-            states = []
-            for step in range(t):
-                xt = nm.take_steps(x, np.full(b, step))
-                h_next = self._step(cell, xt, h)
-                # Frozen past the end of each row, so the read-out at
-                # lengths-1 matches the unpadded recurrence exactly.
-                alive = Tensor((lengths > step).astype(np.float64)[:, None])
-                h = nm.add(nm.mul(alive, h_next), nm.mul(nm.sub(1.0, alive), h))
-                states.append(nm.reshape(h, (b, 1, d)))
-            x = nm.concat(states, axis=1)
+            x = nm.gru_layer(x, lengths, **cell)
         return nm.take_steps(x, lengths - 1)
 
     def encode_sequence(self, item_vecs, drop=0.0, rng=None):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from modrec import datagen
+from modrec import numerics as nm
+from modrec.numerics import Tensor
 
 
 def finite_difference_check(build, params, h=1e-5, rtol=1e-4, atol=1e-7,
@@ -30,6 +32,24 @@ def finite_difference_check(build, params, h=1e-5, rtol=1e-4, atol=1e-7,
             assert abs(numeric - ana) <= tol, (
                 f"{p.name}[{c}]: analytic {ana}, finite-diff {numeric}"
             )
+
+
+def unrolled_gru_layer(x, lengths, Wxr, Whr, br, Wxz, Whz, bz, Wxn, Whn, bn):
+    """Reference for numerics.gru_layer: the GRU recurrence unrolled into
+    primitives, a few dozen graph nodes per step."""
+    b, t, _ = x.shape
+    h = Tensor(np.zeros((b, Whr.shape[0])))
+    states = []
+    for step in range(t):
+        xt = nm.take_steps(x, np.full(b, step))
+        r = nm.sigmoid(nm.add(nm.add(nm.matmul(xt, Wxr), nm.matmul(h, Whr)), br))
+        z = nm.sigmoid(nm.add(nm.add(nm.matmul(xt, Wxz), nm.matmul(h, Whz)), bz))
+        n = nm.tanh(nm.add(nm.add(nm.matmul(xt, Wxn), nm.mul(r, nm.matmul(h, Whn))), bn))
+        h_next = nm.add(nm.mul(nm.sub(1.0, z), n), nm.mul(z, h))
+        alive = Tensor((np.asarray(lengths) > step).astype(np.float64)[:, None])
+        h = nm.add(nm.mul(alive, h_next), nm.mul(nm.sub(1.0, alive), h))
+        states.append(nm.reshape(h, (b, 1, h.shape[1])))
+    return nm.concat(states, axis=1)
 
 
 @pytest.fixture(scope="session")

@@ -31,6 +31,21 @@ def test_validate_rejects_bad_values():
         cfg.validate()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("model.gru_layers", 0),
+    ("model.d", 0),
+    ("model.heads", 3),
+    ("model.heads", 0),
+    ("model.dropout", 1.0),
+    ("model.dropout", -0.5),
+])
+def test_validate_rejects_bad_model_sizes(key, value):
+    cfg = ExperimentConfig()
+    apply_setting(cfg, key, value)
+    with pytest.raises(ValueError, match=key):
+        cfg.validate()
+
+
 def test_apply_setting_coercions():
     cfg = ExperimentConfig()
     apply_setting(cfg, "seed", "7")

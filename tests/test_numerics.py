@@ -4,10 +4,11 @@ import inspect
 import numpy as np
 import pytest
 
-from conftest import finite_difference_check
+from conftest import finite_difference_check, unrolled_gru_layer
 from modrec import numerics as nm
 from modrec.blocks import TransformerLayer
 from modrec.numerics import Adam, MASKED, NonFiniteError, Parameter, Tensor
+from modrec.seq_tower import GruSeqTower
 
 
 def _param(rng, shape, name):
@@ -89,7 +90,23 @@ def _fused_dropout(rng):
             [x])
 
 
+def _gru_weights(rng, d_in, d, make):
+    """Wxr, Whr, br, Wxz, Whz, bz, Wxn, Whn, bn, in gru_layer's order."""
+    shapes = [(d_in, d), (d, d), (d,)] * 3
+    return [make(rng.normal(size=shape), f"w{i}") for i, shape in enumerate(shapes)]
+
+
+def _fused_gru_layer(rng):
+    x = _param(rng, (3, 4, 5), "x")
+    weights = _gru_weights(rng, 5, 4, Parameter)
+    lengths = np.array([4, 1, 2])
+    w = Tensor(rng.normal(size=(3, 4, 4)))
+    return (lambda: nm.tsum(nm.mul(nm.gru_layer(x, lengths, *weights), w)),
+            [x] + weights)
+
+
 FUSED = {
+    "gru_layer": _fused_gru_layer,
     "linear": _fused_linear,
     "layer_norm": _fused_layer_norm,
     "masked_attention": _fused_masked_attention,
@@ -237,6 +254,7 @@ def chain_dropout(x, p, rng):
 
 
 CHAINS = {
+    "gru_layer": unrolled_gru_layer,
     "linear": chain_linear,
     "relu": chain_relu,
     "layer_norm": chain_layer_norm,
@@ -270,6 +288,9 @@ def _exact_cases(rng):
         "masked_attention": ([x3, rng.normal(size=(6, 5, 8)), rng.normal(size=(6, 5, 8))],
                              lambda op, t: op(*(_split_heads(u, 2) for u in t), mask, 0.5)),
         "dropout": ([x3], lambda op, t: op(t[0], 0.3, np.random.default_rng(8))),
+        # ragged lengths, two rows of length 1
+        "gru_layer": ([x3] + _gru_weights(rng, 8, 4, lambda a, name: a),
+                      lambda op, t: op(t[0], np.array([5, 1, 3, 5, 2, 1]), *t[1:])),
     }
 
 
@@ -316,7 +337,42 @@ def test_transformer_layer_matches_primitive_chains_exactly(monkeypatch):
         np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("lengths", [[7, 1, 4, 7, 2], [1, 1, 1, 1, 1]],
+                         ids=["ragged", "length_one"])
+@pytest.mark.parametrize("layers", [1, 2])
+def test_gru_tower_matches_unrolled_chain_exactly(monkeypatch, layers, lengths):
+    def run():
+        rng = np.random.default_rng(4)
+        tower = GruSeqTower(rng, 6, 8, layers=layers)
+        x = _leaf(rng.normal(size=(5, max(lengths), 6)))
+        out = tower.encode_batch(x, np.array(lengths))
+        # x already holds a gradient when the tower's contributions arrive
+        first = nm.tsum(nm.mul(x, Tensor(rng.normal(size=x.shape))))
+        nm.add(first, nm.tsum(nm.mul(out, Tensor(rng.normal(size=out.shape))))).backward()
+        return [out.data, x.grad] + [p.grad for p in tower.params()]
+
+    fused = run()
+    monkeypatch.setattr(nm, "gru_layer", unrolled_gru_layer)
+    chained = run()
+    for a, b in zip(fused, chained):
+        np.testing.assert_array_equal(a, b)
+
+
 # -- non-finite values raise where the chains raised -------------------------------
+
+
+GRU_GATES = ["reset", "update", "candidate"]
+
+
+def _gru_args(x, overflow=None):
+    """gru_layer arguments with weights of 0.5, and 1e200 in the x weight of
+    the `overflow` gate: x @ W overflows there, and sigmoid or tanh alone
+    would map the inf to a finite value. lengths is a list, so it does not
+    become a Parameter."""
+    weights = [np.full(s, 0.5) for s in [(2, 2), (2, 2), (2,)] * 3]
+    if overflow is not None:
+        weights[GRU_GATES.index(overflow) * 3] = np.full((2, 2), 1e200)
+    return [np.array(x), [len(x[0])]] + weights
 
 
 # name -> (op, arguments). The fused op and its chain must both raise.
@@ -336,6 +392,9 @@ NON_FINITE_CASES = {
     "linear_overflow": ("linear", [
         np.array([[1e200, 1e200]]), np.full((2, 3), 1e200), np.zeros(3)]),
     "dropout_p_one": ("dropout", [np.ones((2, 3)), 1.0, np.random.default_rng(0)]),
+    "gru_layer_inf_x": ("gru_layer", _gru_args([[[1.0, np.inf]]])),
+    **{f"gru_layer_{gate}_overflow": ("gru_layer", _gru_args(
+        [[[1e200, 1e200], [1.0, 1.0]]], overflow=gate)) for gate in GRU_GATES},
 }
 
 
@@ -350,6 +409,13 @@ def test_fused_ops_raise_non_finite_like_the_chains(case, grad):
         with np.errstate(all="ignore"), pytest.raises(NonFiniteError):
             with contextlib.nullcontext() if grad else nm.no_grad():
                 op(*args)
+
+
+@pytest.mark.parametrize("gate", GRU_GATES)
+def test_gru_layer_error_names_the_gate(gate):
+    args = _gru_args([[[1e200, 1e200], [1.0, 1.0]]], overflow=gate)
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteError, match=f"GRU {gate}"):
+        nm.gru_layer(*args)
 
 
 # -- gradient accumulation -------------------------------------------------------

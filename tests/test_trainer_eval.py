@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import unrolled_gru_layer
+from modrec import numerics as nm
 from modrec import trainer
 from modrec.config import ExperimentConfig
 from modrec.datagen import Batch, make_batches
@@ -260,6 +262,17 @@ def test_early_fusion_trains_and_evaluates(tiny_data):
     assert set(result.model.seq_towers) == {"fused"}
     assert set(result.loss_log[0]) >= {"ce_fused", "total"}
     assert "fused" in result.test_metrics["branches"]
+
+
+def test_fused_gru_trains_like_the_unrolled_chain(tiny_data, monkeypatch):
+    catalog, dataset = tiny_data
+    cfg = tiny_cfg(model__branches="id", model__backbone="recurrent",
+                   model__gru_layers=2, train__epochs=2)
+    fused = train(cfg, catalog, dataset)
+    monkeypatch.setattr(nm, "gru_layer", unrolled_gru_layer)
+    chained = train(cfg, catalog, dataset)
+    assert fused.loss_log == chained.loss_log
+    assert fused.test_metrics == chained.test_metrics
 
 
 @pytest.mark.slow
