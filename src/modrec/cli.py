@@ -120,10 +120,22 @@ def cmd_eval(args):
     return 0
 
 
+def _write_grid(out_dir, filename, rows, cfg, started):
+    """Write one row per grid cell to out_dir/filename, plus the manifest."""
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, filename), "w", newline="") as f:
+        w = csv.DictWriter(f, fieldnames=list(rows[0].keys()))
+        w.writeheader()
+        w.writerows(rows)
+    _write_manifest(out_dir, cfg, [filename], started, _timestamp())
+
+
 def cmd_ablate(args):
     cfg = load_config(args.config, args.set)
     out_dir = args.out or os.path.join(_out_root(), "ablation")
     if args.dry_run:
+        for variant in trainer.ABLATION_VARIANTS:
+            trainer.ablation_config(cfg, variant)
         print("variants:", ", ".join(trainer.ABLATION_VARIANTS))
         return 0
     started = _timestamp()
@@ -132,13 +144,7 @@ def cmd_ablate(args):
         cfg, catalog, dataset,
         progress=lambda v, row: print(f"{v}: {row}"),
     )
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "ablation.csv")
-    with open(path, "w", newline="") as f:
-        w = csv.DictWriter(f, fieldnames=list(rows[0].keys()))
-        w.writeheader()
-        w.writerows(rows)
-    _write_manifest(out_dir, cfg, ["ablation.csv"], started, _timestamp())
+    _write_grid(out_dir, "ablation.csv", rows, cfg, started)
     return 0
 
 
@@ -174,13 +180,7 @@ def cmd_sweep(args):
                f"ndcg@{k}": metrics[f"ndcg@{k}"]}
         rows.append(row)
         print(row)
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "sweep.csv")
-    with open(path, "w", newline="") as f:
-        w = csv.DictWriter(f, fieldnames=list(rows[0].keys()))
-        w.writeheader()
-        w.writerows(rows)
-    _write_manifest(out_dir, cfg, ["sweep.csv"], started, _timestamp())
+    _write_grid(out_dir, "sweep.csv", rows, cfg, started)
     return 0
 
 

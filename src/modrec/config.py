@@ -31,8 +31,7 @@ class DataCfg:
 class ModelCfg:
     branches: str = "v,t,id"  # subset of {v, t, id}; "id" alone = classical baseline
     fst: str = "imt"  # imt | separate | dnn
-    item_layers: int = 2
-    separate_layers: int = 2
+    item_layers: int = 2  # transformer depth of the imt stack and of each separate stack
     heads: int = 2
     d: int = 32
     dropout: float = 0.1
@@ -41,7 +40,6 @@ class ModelCfg:
     backbone: str = "self_attention"  # self_attention | recurrent
     seq_layers: int = 2
     gru_layers: int = 1
-    max_len: int = 15
 
     @property
     def branch_list(self):
@@ -105,8 +103,21 @@ class ExperimentConfig:
             raise ValueError(f"model.dropout must lie in [0, 1), got {m.dropout}")
         if not self.eval.ks:
             raise ValueError("eval.ks must be nonempty")
-        if self.model.max_len != self.data.max_len:
-            raise ValueError("model.max_len must equal data.max_len")
+        if not all(isinstance(k, int) and k >= 1 for k in self.eval.ks):
+            raise ValueError(f"eval.ks entries must be at least 1, got {self.eval.ks}")
+        if self.eval.groups != 0 and self.eval.groups < 2:
+            raise ValueError(f"eval.groups must be 0 (off) or at least 2, got {self.eval.groups}")
+        if self.distill.T <= 0:
+            raise ValueError(f"distill.T must be positive, got {self.distill.T}")
+        t = self.train
+        if t.lr <= 0:
+            raise ValueError(f"train.lr must be positive, got {t.lr}")
+        if t.batch_size < 2:
+            raise ValueError(f"train.batch_size must be at least 2, got {t.batch_size}")
+        if t.epochs < 0:
+            raise ValueError(f"train.epochs must be at least 0, got {t.epochs}")
+        if not 0.0 <= self.data.cold_frac <= 1.0:
+            raise ValueError(f"data.cold_frac must lie in [0, 1], got {self.data.cold_frac}")
         return self
 
     def to_flat(self):

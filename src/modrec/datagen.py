@@ -291,6 +291,9 @@ def load_interactions(catalog_dir):
 def load_dataset(catalog_dir, max_len=DEFAULT_MAX_LEN):
     catalog = load_features(catalog_dir)
     sequences = load_interactions(catalog_dir)
+    bad = [item for seq in sequences for item in seq if not 0 <= item < catalog.n_items]
+    if bad:
+        raise ValueError(f"interactions.csv: item id {bad[0]} outside [0, {catalog.n_items})")
     dataset = split_leave_one_out(sequences, max_len=max_len)
     if dataset.pop.size < catalog.n_items:
         pop = np.zeros(catalog.n_items, dtype=np.int64)

@@ -3,8 +3,8 @@
 The default tower runs one joint transformer over the concatenation
 [visual patches | ID | text tokens] with an asymmetric mask: the ID slot
 attends to everything, but modality slots cannot attend to the ID slot.
-Variants cover separate per-modality transformers, plain MLP transforms,
-and an ID-embedding-only path for the classical baseline.
+The same tower can instead run separate per-modality transformers or plain
+MLP transforms; an ID-embedding-only tower covers the classical baseline.
 """
 
 from __future__ import annotations
@@ -55,8 +55,20 @@ def init_id_table(catalog, mode, seed=0, d_id=None, scale=0.1):
     return Parameter(data, "id_table")
 
 
-class FusedItemTower:
-    """Joint transformer over projected visual, ID, and textual slots."""
+# Transformer stacks each fst variant builds, in construction (RNG draw) order.
+_STACKS = {"imt": ("fused",), "separate": ("sep_v", "sep_t"), "dnn": ()}
+
+
+class ItemTower:
+    """Visual and textual branches plus an optional ID branch.
+
+    Every variant projects each input to d and ends each branch in an MLP
+    head; only the encoding step between them depends on `fst`:
+    "imt" runs one joint transformer over [visual | ID | text] under the
+    ID isolation mask, "separate" runs one transformer per modality and
+    leaves the ID branch untransformed, and "dnn" feeds the modality cls
+    rows straight to the heads. Passing `id_table=None` drops the ID branch.
+    """
 
     def __init__(
         self,
@@ -64,93 +76,32 @@ class FusedItemTower:
         id_table,
         d,
         rng,
+        fst="imt",
         layers=2,
         heads=2,
-        include_id=True,
         id_mask=True,
         name="item",
     ):
+        if fst not in _STACKS:
+            raise ValueError(f"unknown fst variant {fst!r}; expected one of {tuple(_STACKS)}")
         self.catalog = catalog
         self.id_table = id_table
         self.d = d
-        self.include_id = include_id
+        self.fst = fst
+        self.include_id = id_table is not None
         self.proj_v = Linear(rng, catalog.d_v, d, f"{name}.proj_v")
         self.proj_t = Linear(rng, catalog.d_t, d, f"{name}.proj_t")
-        self.encoder = TransformerStack(rng, d, heads, layers, f"{name}.fused")
+        self.encoders = [
+            TransformerStack(rng, d, heads, layers, f"{name}.{stack}") for stack in _STACKS[fst]
+        ]
         self.head_v = MlpHead(rng, d, f"{name}.head_v")
         self.head_t = MlpHead(rng, d, f"{name}.head_t")
-        if include_id:
-            d_id = id_table.shape[1]
-            self.proj_id = Linear(rng, d_id, d, f"{name}.proj_id")
-            self.head_id = MlpHead(rng, d, f"{name}.head_id")
-            self.mask = build_id_isolation_mask(catalog.n_v, catalog.n_t, id_mask)
-        else:
-            self.mask = None  # no ID slot, no restriction needed
-
-    @property
-    def branches(self):
-        return ("v", "t", "id") if self.include_id else ("v", "t")
-
-    def item_embeddings(self, item_idx, drop=0.0, rng=None):
-        item_idx = np.asarray(item_idx, dtype=np.int64)
-        n_v, n_t = self.catalog.n_v, self.catalog.n_t
-        ev = self.proj_v(Tensor(self.catalog.visual[item_idx]))
-        et = self.proj_t(Tensor(self.catalog.textual[item_idx]))
-        parts = [ev]
+        self.mask = None  # only an imt joint sequence with an ID slot is masked
         if self.include_id:
-            eid = self.proj_id(nm.take_rows(self.id_table, item_idx))
-            parts.append(nm.reshape(eid, (len(item_idx), 1, self.d)))
-        parts.append(et)
-        x = nm.concat(parts, axis=1)
-        x = self.encoder(x, mask=self.mask, drop=drop, rng=rng)
-        v_cls = nm.take_steps(x, np.full(len(item_idx), n_v))
-        out = {"v": self.head_v(v_cls)}
-        if self.include_id:
-            id_out = nm.take_steps(x, np.full(len(item_idx), n_v + 1))
-            out["id"] = self.head_id(id_out)
-            t_cls_pos = n_v + 2
-        else:
-            t_cls_pos = n_v + 1
-        t_cls = nm.take_steps(x, np.full(len(item_idx), t_cls_pos))
-        out["t"] = self.head_t(t_cls)
-        return out
-
-    def params(self):
-        out = self.proj_v.params() + self.proj_t.params()
-        out += self.encoder.params()
-        out += self.head_v.params() + self.head_t.params()
-        if self.include_id:
-            out += [self.id_table] + self.proj_id.params() + self.head_id.params()
-        return out
-
-
-class SeparateItemTower:
-    """Per-modality transformer stacks; the ID branch skips transformers."""
-
-    def __init__(
-        self,
-        catalog,
-        id_table,
-        d,
-        rng,
-        layers_per_modality=2,
-        heads=2,
-        include_id=True,
-        name="item",
-    ):
-        self.catalog = catalog
-        self.id_table = id_table
-        self.d = d
-        self.include_id = include_id
-        self.proj_v = Linear(rng, catalog.d_v, d, f"{name}.proj_v")
-        self.proj_t = Linear(rng, catalog.d_t, d, f"{name}.proj_t")
-        self.enc_v = TransformerStack(rng, d, heads, layers_per_modality, f"{name}.sep_v")
-        self.enc_t = TransformerStack(rng, d, heads, layers_per_modality, f"{name}.sep_t")
-        self.head_v = MlpHead(rng, d, f"{name}.head_v")
-        self.head_t = MlpHead(rng, d, f"{name}.head_t")
-        if include_id:
             self.proj_id = Linear(rng, id_table.shape[1], d, f"{name}.proj_id")
             self.head_id = MlpHead(rng, d, f"{name}.head_id")
+            if fst == "imt":
+                self.mask = build_id_isolation_mask(catalog.n_v, catalog.n_t, id_mask)
 
     @property
     def branches(self):
@@ -158,58 +109,38 @@ class SeparateItemTower:
 
     def item_embeddings(self, item_idx, drop=0.0, rng=None):
         item_idx = np.asarray(item_idx, dtype=np.int64)
-        ev = self.enc_v(self.proj_v(Tensor(self.catalog.visual[item_idx])), drop=drop, rng=rng)
-        et = self.enc_t(self.proj_t(Tensor(self.catalog.textual[item_idx])), drop=drop, rng=rng)
-        v_cls = nm.take_steps(ev, np.full(len(item_idx), self.catalog.n_v))
-        t_cls = nm.take_steps(et, np.zeros(len(item_idx), dtype=np.int64))
+        cat, n = self.catalog, len(item_idx)
+        eid = None
+        if self.include_id:
+            eid = self.proj_id(nm.take_rows(self.id_table, item_idx))
+        if self.fst == "dnn":
+            v_cls = self.proj_v(Tensor(cat.visual_cls[item_idx]))
+            t_cls = self.proj_t(Tensor(cat.textual_cls[item_idx]))
+        else:
+            ev = self.proj_v(Tensor(cat.visual[item_idx]))
+            et = self.proj_t(Tensor(cat.textual[item_idx]))
+        if self.fst == "separate":
+            ev = self.encoders[0](ev, drop=drop, rng=rng)
+            et = self.encoders[1](et, drop=drop, rng=rng)
+            v_cls = nm.take_steps(ev, np.full(n, cat.n_v))
+            t_cls = nm.take_steps(et, np.zeros(n, dtype=np.int64))
+        elif self.fst == "imt":
+            # slots: visual 0..n_v (cls last) | ID, if any | text (cls first)
+            parts = [ev, et] if eid is None else [ev, nm.reshape(eid, (n, 1, self.d)), et]
+            x = self.encoders[0](nm.concat(parts, axis=1), mask=self.mask, drop=drop, rng=rng)
+            v_cls = nm.take_steps(x, np.full(n, cat.n_v))
+            t_cls = nm.take_steps(x, np.full(n, cat.n_v + len(parts) - 1))
+            if eid is not None:
+                eid = nm.take_steps(x, np.full(n, cat.n_v + 1))
         out = {"v": self.head_v(v_cls), "t": self.head_t(t_cls)}
-        if self.include_id:
-            eid = self.proj_id(nm.take_rows(self.id_table, item_idx))
+        if eid is not None:
             out["id"] = self.head_id(eid)
         return out
 
     def params(self):
         out = self.proj_v.params() + self.proj_t.params()
-        out += self.enc_v.params() + self.enc_t.params()
-        out += self.head_v.params() + self.head_t.params()
-        if self.include_id:
-            out += [self.id_table] + self.proj_id.params() + self.head_id.params()
-        return out
-
-
-class MlpItemTower:
-    """Plain MLP transform on the cls features, no transformer layers."""
-
-    def __init__(self, catalog, id_table, d, rng, include_id=True, name="item"):
-        self.catalog = catalog
-        self.id_table = id_table
-        self.d = d
-        self.include_id = include_id
-        self.proj_v = Linear(rng, catalog.d_v, d, f"{name}.proj_v")
-        self.proj_t = Linear(rng, catalog.d_t, d, f"{name}.proj_t")
-        self.head_v = MlpHead(rng, d, f"{name}.head_v")
-        self.head_t = MlpHead(rng, d, f"{name}.head_t")
-        if include_id:
-            self.proj_id = Linear(rng, id_table.shape[1], d, f"{name}.proj_id")
-            self.head_id = MlpHead(rng, d, f"{name}.head_id")
-
-    @property
-    def branches(self):
-        return ("v", "t", "id") if self.include_id else ("v", "t")
-
-    def item_embeddings(self, item_idx, drop=0.0, rng=None):
-        item_idx = np.asarray(item_idx, dtype=np.int64)
-        out = {
-            "v": self.head_v(self.proj_v(Tensor(self.catalog.visual_cls[item_idx]))),
-            "t": self.head_t(self.proj_t(Tensor(self.catalog.textual_cls[item_idx]))),
-        }
-        if self.include_id:
-            eid = self.proj_id(nm.take_rows(self.id_table, item_idx))
-            out["id"] = self.head_id(eid)
-        return out
-
-    def params(self):
-        out = self.proj_v.params() + self.proj_t.params()
+        for encoder in self.encoders:
+            out += encoder.params()
         out += self.head_v.params() + self.head_t.params()
         if self.include_id:
             out += [self.id_table] + self.proj_id.params() + self.head_id.params()
@@ -239,31 +170,16 @@ def build_item_tower(catalog, cfg_model, rng, id_init_seed=0):
     branches = cfg_model.branch_list
     if branches == ("id",):
         return IdOnlyTower(catalog.n_items, cfg_model.d, rng)
-    include_id = "id" in branches
     id_table = None
-    if include_id:
+    if "id" in branches:
         id_table = init_id_table(catalog, cfg_model.id_init, seed=id_init_seed)
-    if cfg_model.fst == "imt":
-        return FusedItemTower(
-            catalog,
-            id_table,
-            cfg_model.d,
-            rng,
-            layers=cfg_model.item_layers,
-            heads=cfg_model.heads,
-            include_id=include_id,
-            id_mask=cfg_model.id_mask,
-        )
-    if cfg_model.fst == "separate":
-        return SeparateItemTower(
-            catalog,
-            id_table,
-            cfg_model.d,
-            rng,
-            layers_per_modality=cfg_model.separate_layers,
-            heads=cfg_model.heads,
-            include_id=include_id,
-        )
-    if cfg_model.fst == "dnn":
-        return MlpItemTower(catalog, id_table, cfg_model.d, rng, include_id=include_id)
-    raise ValueError(f"unknown fst variant {cfg_model.fst!r}")
+    return ItemTower(
+        catalog,
+        id_table,
+        cfg_model.d,
+        rng,
+        fst=cfg_model.fst,
+        layers=cfg_model.item_layers,
+        heads=cfg_model.heads,
+        id_mask=cfg_model.id_mask,
+    )

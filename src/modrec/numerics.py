@@ -207,37 +207,6 @@ def mul(a, b):
     return _make(a.data * b.data, (a, b), bwd)
 
 
-def div(a, b):
-    a, b = _wrap(a), _wrap(b)
-
-    def bwd(g):
-        _accum(a, _unbroadcast(g / b.data, a.data.shape))
-        _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return _make(a.data / b.data, (a, b), bwd)
-
-
-def log(a):
-    a = _wrap(a)
-
-    def bwd(g):
-        _accum(a, g / a.data)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out_data = np.log(a.data)  # non-finite results rejected by the Tensor ctor
-    return _make(out_data, (a,), bwd)
-
-
-def exp(a):
-    a = _wrap(a)
-    out_data = np.exp(a.data)
-
-    def bwd(g):
-        _accum(a, g * out_data)
-
-    return _make(out_data, (a,), bwd)
-
-
 def powc(a, p):
     """Elementwise power with a constant exponent."""
     a = _wrap(a)

@@ -86,12 +86,12 @@ class GruSeqTower:
         return [p for cell in self.cells for p in cell.values()]
 
 
-def build_seq_tower(cfg_model, rng, branch):
+def build_seq_tower(cfg_model, rng, branch, max_len):
     if cfg_model.backbone == "self_attention":
         return SelfAttentionSeqTower(
             rng,
             cfg_model.d,
-            cfg_model.max_len,
+            max_len,
             layers=cfg_model.seq_layers,
             heads=cfg_model.heads,
             name=f"seq_{branch}",
@@ -100,7 +100,7 @@ def build_seq_tower(cfg_model, rng, branch):
         return GruSeqTower(
             rng,
             cfg_model.d,
-            cfg_model.max_len,
+            max_len,
             layers=cfg_model.gru_layers,
             name=f"seq_{branch}",
         )

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import losses as ls
 from . import numerics as nm
-from .config import ExperimentConfig
+from .config import ExperimentConfig, apply_setting
 from .datagen import make_batches
 from .item_tower import build_item_tower
 from .numerics import Adam, Tensor, no_grad
@@ -26,9 +26,20 @@ from .seq_tower import build_seq_tower
 class Model:
     item_tower: object
     seq_towers: dict  # branch (or "fused") -> sequence tower
-    branches: tuple  # branches used for scoring
+    branches: tuple  # item tower branches the model uses
     fusion: str
     cfg: ExperimentConfig
+
+    def item_embeddings(self, idx, drop=0.0, rng=None):
+        """Item tower outputs per branch. With a "fused" sequence tower (early
+        fusion), also the "fused" pseudo-branch: the mean of the branches."""
+        embs = self.item_tower.item_embeddings(idx, drop=drop, rng=rng)
+        if "fused" in self.seq_towers:
+            fused = embs[self.branches[0]]
+            for b in self.branches[1:]:
+                fused = nm.add(fused, embs[b])
+            embs["fused"] = nm.mul(fused, 1.0 / len(self.branches))
+        return embs
 
     def params(self):
         out = list(self.item_tower.params())
@@ -54,10 +65,10 @@ def build_model(cfg, catalog):
     init_rng = np.random.default_rng(ss.spawn(1)[0])
     item_tower = build_item_tower(catalog, cfg.model, init_rng, id_init_seed=cfg.seed)
     branches = tuple(b for b in cfg.model.branch_list if b in item_tower.branches)
-    if cfg.train.fusion == "early" and len(branches) > 1:
-        seq_towers = {"fused": build_seq_tower(cfg.model, init_rng, "fused")}
-    else:
-        seq_towers = {b: build_seq_tower(cfg.model, init_rng, b) for b in branches}
+    seq_keys = ("fused",) if cfg.train.fusion == "early" and len(branches) > 1 else branches
+    seq_towers = {
+        key: build_seq_tower(cfg.model, init_rng, key, cfg.data.max_len) for key in seq_keys
+    }
     names = [p.name for p in item_tower.params()]
     for tower in seq_towers.values():
         names.extend(p.name for p in tower.params())
@@ -84,7 +95,7 @@ def _branch_logits(model, batch, pop, drop=0.0, drop_rng=None):
     """Forward pass producing masked (B, C) logits per scoring branch."""
     uniq = sorted(set(x for row in batch.prefixes for x in row) | set(batch.targets.tolist()))
     index_of = {item: i for i, item in enumerate(uniq)}
-    embs = model.item_tower.item_embeddings(np.array(uniq), drop=drop, rng=drop_rng)
+    embs = model.item_embeddings(np.array(uniq), drop=drop, rng=drop_rng)
 
     candidates = sorted(set(batch.targets.tolist()))
     cand_col = {item: j for j, item in enumerate(candidates)}
@@ -95,21 +106,11 @@ def _branch_logits(model, batch, pop, drop=0.0, drop_rng=None):
 
     idx_mat, lengths = _pad_rows(batch.prefixes, index_of)
     logits = {}
-    if model.fusion == "early" and len(model.branches) > 1:
-        fused = None
-        for b in model.branches:
-            fused = embs[b] if fused is None else nm.add(fused, embs[b])
-        fused = nm.mul(fused, 1.0 / len(model.branches))
-        seqs = nm.take_rows(fused, idx_mat)
-        h = model.seq_towers["fused"].encode_batch(seqs, lengths, drop=drop, rng=drop_rng)
-        d_c = nm.take_rows(fused, cand_rows)
-        logits["fused"] = nm.add(ls.debiased_scores(h, d_c, pop_c), Tensor(excl))
-    else:
-        for b in model.branches:
-            seqs = nm.take_rows(embs[b], idx_mat)
-            h = model.seq_towers[b].encode_batch(seqs, lengths, drop=drop, rng=drop_rng)
-            d_c = nm.take_rows(embs[b], cand_rows)
-            logits[b] = nm.add(ls.debiased_scores(h, d_c, pop_c), Tensor(excl))
+    for key, tower in model.seq_towers.items():
+        seqs = nm.take_rows(embs[key], idx_mat)
+        h = tower.encode_batch(seqs, lengths, drop=drop, rng=drop_rng)
+        d_c = nm.take_rows(embs[key], cand_rows)
+        logits[key] = nm.add(ls.debiased_scores(h, d_c, pop_c), Tensor(excl))
     return logits, target_cols
 
 
@@ -193,14 +194,14 @@ def popularity_groups(pop, n_groups):
 
 
 def _all_item_embeddings(model, n_items, chunk=512):
-    out = {b: [] for b in model.branches}
+    """Catalog-wide item embeddings for each sequence tower's key."""
+    out = {key: [] for key in model.seq_towers}
     with no_grad():
         for start in range(0, n_items, chunk):
-            idx = np.arange(start, min(start + chunk, n_items))
-            embs = model.item_tower.item_embeddings(idx)
-            for b in model.branches:
-                out[b].append(embs[b].data)
-    return {b: np.concatenate(parts, axis=0) for b, parts in out.items()}
+            embs = model.item_embeddings(np.arange(start, min(start + chunk, n_items)))
+            for key, parts in out.items():
+                parts.append(embs[key].data)
+    return {key: np.concatenate(parts, axis=0) for key, parts in out.items()}
 
 
 def evaluate(model, catalog, dataset, split="test", ks=(10, 20), n_groups=8,
@@ -213,9 +214,6 @@ def evaluate(model, catalog, dataset, split="test", ks=(10, 20), n_groups=8,
     if split not in ("val", "test"):
         raise ValueError(f"split must be val or test, got {split!r}")
     item_embs = _all_item_embeddings(model, catalog.n_items)
-    fused_embs = None
-    if model.fusion == "early" and len(model.branches) > 1:
-        fused_embs = np.mean([item_embs[b] for b in model.branches], axis=0)
 
     n_users = dataset.n_users
     users = np.arange(n_users)
@@ -248,7 +246,7 @@ def evaluate(model, catalog, dataset, split="test", ks=(10, 20), n_groups=8,
         branch_scores = {}
         with no_grad():
             for key, tower in model.seq_towers.items():
-                embs = fused_embs if key == "fused" else item_embs[key]
+                embs = item_embs[key]
                 seqs = Tensor(embs[idx_mat])
                 h = tower.encode_batch(seqs, lengths).data
                 branch_scores[key] = h @ embs.T
@@ -379,45 +377,30 @@ def train(cfg, catalog, dataset, progress=None):
 # -- ablation matrix ----------------------------------------------------------------
 
 
-ABLATION_VARIANTS = (
-    "full",
-    "text_init",
-    "image_init",
-    "random_init",
-    "no_id_mask",
-    "separate_fst_2",
-    "separate_fst_1",
-    "no_distill",
-    "no_id",
-)
+# Each ablation variant as `section.key=value` overrides on the base config,
+# in the same syntax as `--set`.
+ABLATIONS = {
+    "full": (),
+    "text_init": ("model.id_init=text",),
+    "image_init": ("model.id_init=image",),
+    "random_init": ("model.id_init=random",),
+    "no_id_mask": ("model.id_mask=false",),
+    "separate_fst_2": ("model.fst=separate", "model.item_layers=2"),
+    "separate_fst_1": ("model.fst=separate", "model.item_layers=1"),
+    "no_distill": ("train.fusion=late", "distill.enabled=false"),
+    "no_id": ("model.branches=v,t",),
+}
+ABLATION_VARIANTS = tuple(ABLATIONS)
 
 
 def ablation_config(base, variant):
-    cfg = base.copy()
-    if variant == "full":
-        pass
-    elif variant == "text_init":
-        cfg.model.id_init = "text"
-    elif variant == "image_init":
-        cfg.model.id_init = "image"
-    elif variant == "random_init":
-        cfg.model.id_init = "random"
-    elif variant == "no_id_mask":
-        cfg.model.id_mask = False
-    elif variant == "separate_fst_2":
-        cfg.model.fst = "separate"
-        cfg.model.separate_layers = 2
-    elif variant == "separate_fst_1":
-        cfg.model.fst = "separate"
-        cfg.model.separate_layers = 1
-    elif variant == "no_distill":
-        cfg.train.fusion = "late"
-        cfg.distill.enabled = False
-    elif variant == "no_id":
-        cfg.model.branches = "v,t"
-    else:
+    """A validated copy of `base` with the variant's overrides applied."""
+    if variant not in ABLATIONS:
         raise ValueError(f"unknown ablation variant {variant!r}")
-    return cfg
+    cfg = base.copy()
+    for setting in ABLATIONS[variant]:
+        apply_setting(cfg, *setting.split("=", 1))
+    return cfg.validate()
 
 
 def run_ablation_matrix(base_cfg, catalog, dataset, variants=ABLATION_VARIANTS,

@@ -12,7 +12,7 @@ from conftest import finite_difference_check
 from modrec import datagen, losses as ls, numerics as nm, trainer
 from modrec.config import ExperimentConfig
 from modrec.datagen import Batch, Catalog
-from modrec.item_tower import FusedItemTower, init_id_table
+from modrec.item_tower import ItemTower, init_id_table
 from modrec.numerics import MASKED, Tensor
 from modrec.seq_tower import SelfAttentionSeqTower
 from modrec.trainer import ensemble_key, rank_full_catalog, recall_ndcg
@@ -57,7 +57,7 @@ def test_criterion_1_full_objective_gradients():
     start = time.time()
     cat = toy_catalog()
     rng = np.random.default_rng(1)
-    tower = FusedItemTower(cat, init_id_table(cat, "avg_modal"), d=8, rng=rng)
+    tower = ItemTower(cat, init_id_table(cat, "avg_modal"), d=8, rng=rng)
     seq_towers = {b: SelfAttentionSeqTower(rng, 8, 6, layers=1, heads=2, name=f"s{b}")
                   for b in ("v", "t", "id")}
     prefixes = [[0, 1, 2], [3, 0]]
@@ -99,7 +99,7 @@ def test_criterion_1_full_objective_gradients():
     assert abs(build().item() - live.item()) < 1e-10
 
     params = [tower.id_table, tower.proj_v.W, tower.proj_t.b,
-              tower.encoder.layers[0].wq.W, tower.encoder.layers[0].ff1.W,
+              tower.encoders[0].layers[0].wq.W, tower.encoders[0].layers[0].ff1.W,
               tower.head_v.l1.W, tower.head_id.l2.b,
               seq_towers["v"].pos, seq_towers["t"].encoder.layers[0].wv.W,
               seq_towers["id"].encoder.layers[0].ln1_g]
@@ -114,8 +114,8 @@ def test_criterion_2_id_isolation_is_exact():
     mask breaks the isolation."""
     cat = toy_catalog(n_items=6, seed=2)
     rng = np.random.default_rng(3)
-    masked = FusedItemTower(cat, init_id_table(cat, "random", seed=1), d=8,
-                            rng=rng, id_mask=True)
+    masked = ItemTower(cat, init_id_table(cat, "random", seed=1), d=8,
+                       rng=rng, id_mask=True)
     idx = np.arange(6)
     before = masked.item_embeddings(idx)
     masked.id_table.data += np.random.default_rng(4).normal(size=masked.id_table.shape)
@@ -128,8 +128,8 @@ def test_criterion_2_id_isolation_is_exact():
     zero_grad = (np.all(masked.id_table.grad == 0.0)
                  and np.all(masked.proj_id.W.grad == 0.0))
 
-    unmasked = FusedItemTower(cat, init_id_table(cat, "random", seed=1), d=8,
-                              rng=np.random.default_rng(3), id_mask=False)
+    unmasked = ItemTower(cat, init_id_table(cat, "random", seed=1), d=8,
+                         rng=np.random.default_rng(3), id_mask=False)
     b2 = unmasked.item_embeddings(idx)
     unmasked.id_table.data += 1.0
     a2 = unmasked.item_embeddings(idx)

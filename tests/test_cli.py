@@ -1,8 +1,10 @@
 import json
 import os
+from types import SimpleNamespace
 
 import pytest
 
+from modrec import trainer
 from modrec.cli import main
 
 TINY = [
@@ -90,6 +92,48 @@ def test_ablate_dry_run_lists_variants(capsys):
     out = capsys.readouterr().out
     for variant in ("full", "no_id_mask", "no_distill", "no_id"):
         assert variant in out
+
+
+def test_ablate_dry_run_validates_every_variant(monkeypatch, capsys):
+    monkeypatch.setitem(trainer.ABLATIONS, "no_id", ("model.branches=v,x",))
+    assert main(["ablate", "--dry-run"]) == 1
+    assert "model.branches" in capsys.readouterr().err
+
+
+def fake_train(cfg, catalog, dataset, progress=None):
+    """Stand-in for trainer.train whose metrics encode the config it got."""
+    metrics = {"recall@10": cfg.distill.T, "ndcg@10": float(len(cfg.model.branch_list))}
+    model = SimpleNamespace(seq_towers=dict.fromkeys(cfg.model.branch_list))
+    return SimpleNamespace(model=model, test_metrics={"branches": {"ensemble": metrics}})
+
+
+def test_ablate_and_sweep_csv_layout(out_root, monkeypatch):
+    monkeypatch.setattr(trainer, "train", fake_train)
+    ablate_dir, sweep_dir = out_root / "ablate", out_root / "sweep"
+    assert main(["ablate", "--out", str(ablate_dir), *TINY]) == 0
+    assert main(["sweep", "--out", str(sweep_dir), *TINY,
+                 "--T-values", "0.25", "--alpha-values", "30"]) == 0
+    assert (ablate_dir / "ablation.csv").read_text().splitlines() == [
+        "variant,recall@10,ndcg@10",
+        "full,0.5,3.0",
+        "text_init,0.5,3.0",
+        "image_init,0.5,3.0",
+        "random_init,0.5,3.0",
+        "no_id_mask,0.5,3.0",
+        "separate_fst_2,0.5,3.0",
+        "separate_fst_1,0.5,3.0",
+        "no_distill,0.5,3.0",
+        "no_id,0.5,2.0",
+    ]
+    assert (sweep_dir / "sweep.csv").read_text().splitlines() == [
+        "axis,T,alpha,recall@10,ndcg@10",
+        "none,,,0.5,3.0",
+        "T,0.25,20.0,0.25,3.0",
+        "alpha,0.5,30.0,0.5,3.0",
+    ]
+    for out_dir, name in ((ablate_dir, "ablation.csv"), (sweep_dir, "sweep.csv")):
+        manifest = json.loads((out_dir / "run_manifest.json").read_text())
+        assert manifest["outputs"] == [name]
 
 
 def test_sweep_dry_run_cell_layout(capsys):

@@ -25,10 +25,6 @@ def test_validate_rejects_bad_values():
     cfg.eval.ks = []
     with pytest.raises(ValueError, match="ks"):
         cfg.validate()
-    cfg = ExperimentConfig()
-    cfg.model.max_len = 10
-    with pytest.raises(ValueError, match="max_len"):
-        cfg.validate()
 
 
 @pytest.mark.parametrize("key, value", [
@@ -38,12 +34,42 @@ def test_validate_rejects_bad_values():
     ("model.heads", 0),
     ("model.dropout", 1.0),
     ("model.dropout", -0.5),
+    ("eval.ks", [0]),
+    ("eval.ks", [10, -1]),
+    ("eval.groups", 1),
+    ("eval.groups", -2),
+    ("distill.T", 0.0),
+    ("distill.T", -0.5),
+    ("train.lr", 0.0),
+    ("train.lr", -1.0),
+    ("train.batch_size", 1),
+    ("train.epochs", -1),
+    ("data.cold_frac", -0.1),
+    ("data.cold_frac", 2.0),
 ])
 def test_validate_rejects_bad_model_sizes(key, value):
     cfg = ExperimentConfig()
     apply_setting(cfg, key, value)
     with pytest.raises(ValueError, match=key):
         cfg.validate()
+
+
+def test_validate_keeps_boundary_values():
+    cfg = ExperimentConfig()
+    for key, value in [("eval.groups", 0), ("train.epochs", 0), ("train.batch_size", 2),
+                       ("data.cold_frac", 1.0), ("eval.ks", [1])]:
+        apply_setting(cfg, key, value)
+    cfg.validate()
+    apply_setting(cfg, "data.cold_frac", 0.0)
+    apply_setting(cfg, "eval.groups", 2)
+    cfg.validate()
+
+
+def test_max_len_and_item_depth_have_one_key_each():
+    assert load_config(None, ["data.max_len=20"]).data.max_len == 20
+    for removed in ("model.max_len=20", "model.separate_layers=1"):
+        with pytest.raises(ValueError, match="unknown config key"):
+            load_config(None, [removed])
 
 
 def test_apply_setting_coercions():

@@ -164,6 +164,17 @@ def test_loader_detects_shape_mismatch(tmp_path):
         load_features(tmp_path)
 
 
+@pytest.mark.parametrize("bad_id", [-1, 10])
+def test_loader_rejects_item_ids_outside_the_catalog(tmp_path, bad_id):
+    catalog, ds = generate_synthetic(n_items=10, n_users=20, n_clusters=2, seed=4,
+                                     n_v=2, n_t=2, d_v=4, d_t=4)
+    sequences = [list(seq) for seq in ds.sequences]
+    sequences[3][1] = bad_id
+    save_catalog(tmp_path, catalog, sequences)
+    with pytest.raises(ValueError, match="interactions.csv"):
+        load_dataset(tmp_path)
+
+
 def test_loader_missing_files(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_features(tmp_path)

@@ -6,10 +6,8 @@ from modrec import numerics as nm
 from modrec.config import ModelCfg
 from modrec.datagen import Catalog
 from modrec.item_tower import (
-    FusedItemTower,
     IdOnlyTower,
-    MlpItemTower,
-    SeparateItemTower,
+    ItemTower,
     build_id_isolation_mask,
     build_item_tower,
     init_id_table,
@@ -109,9 +107,7 @@ def make_fused(id_mask=True, include_id=True, seed=0):
     cat = small_catalog(seed=seed)
     table = init_id_table(cat, "random", seed=1) if include_id else None
     rng = np.random.default_rng(2)
-    tower = FusedItemTower(
-        cat, table, d=8, rng=rng, include_id=include_id, id_mask=id_mask
-    )
+    tower = ItemTower(cat, table, d=8, rng=rng, id_mask=id_mask)
     return cat, tower
 
 
@@ -156,7 +152,7 @@ def test_fused_tower_gradients_match_finite_differences():
     _, tower = make_fused(id_mask=True)
     w = nm.Tensor(np.random.default_rng(7).normal(size=(3, 8)))
     params = [tower.proj_v.W, tower.head_id.l1.W, tower.id_table,
-              tower.encoder.layers[0].wq.W]
+              tower.encoders[0].layers[0].wq.W]
 
     def build():
         out = tower.item_embeddings(np.array([0, 3, 5]))
@@ -173,8 +169,8 @@ def test_separate_tower_layer_counts_and_id_independence():
     cat = small_catalog()
     table = init_id_table(cat, "random", seed=1)
     rng = np.random.default_rng(0)
-    tower = SeparateItemTower(cat, table, d=8, rng=rng, layers_per_modality=2)
-    assert len(tower.enc_v.layers) == 2 and len(tower.enc_t.layers) == 2
+    tower = ItemTower(cat, table, d=8, rng=rng, fst="separate", layers=2)
+    assert len(tower.encoders[0].layers) == 2 and len(tower.encoders[1].layers) == 2
     idx = np.arange(5)
     before = tower.item_embeddings(idx)
     tower.id_table.data += 1.0
@@ -183,10 +179,59 @@ def test_separate_tower_layer_counts_and_id_independence():
     np.testing.assert_array_equal(before["t"].data, after["t"].data)
 
 
+def test_separate_tower_draws_dropout_for_visual_then_text():
+    cat = small_catalog()
+    tower = ItemTower(cat, init_id_table(cat, "random", seed=1), d=8,
+                      rng=np.random.default_rng(0), fst="separate", layers=1)
+    idx = np.arange(5)
+    out = tower.item_embeddings(idx, drop=0.3, rng=np.random.default_rng(9))
+    rng = np.random.default_rng(9)
+    ev = tower.encoders[0](tower.proj_v(nm.Tensor(cat.visual[idx])), drop=0.3, rng=rng)
+    et = tower.encoders[1](tower.proj_t(nm.Tensor(cat.textual[idx])), drop=0.3, rng=rng)
+    v_cls = nm.take_steps(ev, np.full(5, cat.n_v))
+    t_cls = nm.take_steps(et, np.zeros(5, dtype=np.int64))
+    np.testing.assert_array_equal(out["v"].data, tower.head_v(v_cls).data)
+    np.testing.assert_array_equal(out["t"].data, tower.head_t(t_cls).data)
+
+
+@pytest.mark.parametrize("include_id", [True, False])
+def test_fused_tower_reads_each_branch_from_its_own_slot(include_id):
+    cat, tower = make_fused(include_id=include_id)
+    idx = np.arange(4)
+    out = tower.item_embeddings(idx)
+    parts = [tower.proj_v(nm.Tensor(cat.visual[idx]))]
+    if include_id:
+        eid = tower.proj_id(nm.take_rows(tower.id_table, idx))
+        parts.append(nm.reshape(eid, (4, 1, 8)))
+    parts.append(tower.proj_t(nm.Tensor(cat.textual[idx])))
+    x = tower.encoders[0](nm.concat(parts, axis=1), mask=tower.mask)
+    slot = {"v": cat.n_v, "id": cat.n_v + 1, "t": cat.n_v + len(parts) - 1}
+    for branch in tower.branches:
+        head = getattr(tower, f"head_{branch}")
+        expected = head(nm.take_steps(x, np.full(4, slot[branch])))
+        np.testing.assert_array_equal(out[branch].data, expected.data)
+
+
+@pytest.mark.parametrize("fst, stacks", [
+    ("imt", ["fused"]), ("separate", ["sep_v", "sep_t"]), ("dnn", []),
+])
+def test_item_tower_parameter_order(fst, stacks):
+    cat = small_catalog()
+    tower = ItemTower(cat, init_id_table(cat, "random", seed=1), d=8,
+                      rng=np.random.default_rng(0), fst=fst, layers=1)
+    blocks = []
+    for p in tower.params():
+        block = p.name.split(".")[1] if "." in p.name else p.name
+        if not blocks or blocks[-1] != block:
+            blocks.append(block)
+    assert blocks == ["proj_v", "proj_t", *stacks, "head_v", "head_t",
+                      "id_table", "proj_id", "head_id"]
+
+
 def test_mlp_tower_uses_cls_rows_only():
     cat = small_catalog()
     table = init_id_table(cat, "random", seed=1)
-    tower = MlpItemTower(cat, table, d=8, rng=np.random.default_rng(0))
+    tower = ItemTower(cat, table, d=8, rng=np.random.default_rng(0), fst="dnn")
     idx = np.arange(4)
     before = tower.item_embeddings(idx)
     cat.visual[:, 0, :] += 10.0  # a patch row, not the cls row
@@ -208,11 +253,9 @@ def test_id_only_tower_is_a_plain_lookup():
 def test_build_item_tower_dispatch():
     cat = small_catalog()
     rng = np.random.default_rng(0)
-    assert isinstance(build_item_tower(cat, ModelCfg(d=8), rng), FusedItemTower)
-    assert isinstance(
-        build_item_tower(cat, ModelCfg(d=8, fst="separate"), rng), SeparateItemTower
-    )
-    assert isinstance(build_item_tower(cat, ModelCfg(d=8, fst="dnn"), rng), MlpItemTower)
+    for fst in ("imt", "separate", "dnn"):
+        tower = build_item_tower(cat, ModelCfg(d=8, fst=fst), rng)
+        assert isinstance(tower, ItemTower) and tower.fst == fst
     assert isinstance(build_item_tower(cat, ModelCfg(d=8, branches="id"), rng), IdOnlyTower)
     with pytest.raises(ValueError):
         build_item_tower(cat, ModelCfg(d=8, fst="nope"), rng)
@@ -223,3 +266,10 @@ def test_build_item_tower_respects_branch_subset():
     tower = build_item_tower(cat, ModelCfg(d=8, branches="v,t"), np.random.default_rng(0))
     assert tower.branches == ("v", "t")
     assert tower.id_table is None
+
+
+@pytest.mark.parametrize("branches", ["v,t,id", "v,t"])
+def test_build_item_tower_rejects_unknown_fst(branches):
+    with pytest.raises(ValueError, match="fst"):
+        build_item_tower(small_catalog(), ModelCfg(d=8, fst="cnn", branches=branches),
+                         np.random.default_rng(0))

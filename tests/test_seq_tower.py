@@ -108,9 +108,9 @@ def test_empty_sequence_rejected(tower):
 
 
 def test_builder_names_keep_branch_towers_disjoint():
-    cfg = ModelCfg(d=8, max_len=5)
+    cfg = ModelCfg(d=8)
     rng = np.random.default_rng(0)
-    towers = {b: build_seq_tower(cfg, rng, b) for b in ("v", "t", "id")}
+    towers = {b: build_seq_tower(cfg, rng, b, max_len=5) for b in ("v", "t", "id")}
     names = [p.name for tw in towers.values() for p in tw.params()]
     assert len(names) == len(set(names))
     ids = {id(p) for tw in towers.values() for p in tw.params()}
@@ -119,11 +119,11 @@ def test_builder_names_keep_branch_towers_disjoint():
 
 def test_builder_backbone_dispatch():
     rng = np.random.default_rng(0)
-    assert isinstance(build_seq_tower(ModelCfg(d=8, max_len=5), rng, "v"),
+    assert isinstance(build_seq_tower(ModelCfg(d=8), rng, "v", max_len=5),
                       SelfAttentionSeqTower)
     assert isinstance(
-        build_seq_tower(ModelCfg(d=8, max_len=5, backbone="recurrent"), rng, "v"),
+        build_seq_tower(ModelCfg(d=8, backbone="recurrent"), rng, "v", max_len=5),
         GruSeqTower,
     )
     with pytest.raises(ValueError):
-        build_seq_tower(ModelCfg(d=8, max_len=5, backbone="lstm"), rng, "v")
+        build_seq_tower(ModelCfg(d=8, backbone="lstm"), rng, "v", max_len=5)

@@ -25,7 +25,7 @@ from modrec.trainer import (
 
 def tiny_cfg(**kw):
     cfg = ExperimentConfig()
-    cfg.data.max_len = cfg.model.max_len = 15
+    cfg.data.max_len = 15
     cfg.model.d = 8
     cfg.model.item_layers = 1
     cfg.model.seq_layers = 1
@@ -122,6 +122,13 @@ def test_build_model_tower_layout(tiny_data):
     assert set(early.seq_towers) == {"fused"}
     solo = build_model(tiny_cfg(model__branches="id"), catalog)
     assert ensemble_key(solo) == "id"
+
+
+def test_seq_towers_take_max_len_from_data(tiny_data):
+    catalog, _ = tiny_data
+    for backbone in ("self_attention", "recurrent"):
+        model = build_model(tiny_cfg(data__max_len=20, model__backbone=backbone), catalog)
+        assert {tower.max_len for tower in model.seq_towers.values()} == {20}
 
 
 def test_state_roundtrip_and_mismatch_errors(tiny_data):
@@ -264,6 +271,23 @@ def test_early_fusion_trains_and_evaluates(tiny_data):
     assert "fused" in result.test_metrics["branches"]
 
 
+@pytest.mark.parametrize("branches", ["v,t,id", "v,t"])
+def test_early_fusion_scores_the_embeddings_it_trains_on(tiny_data, branches):
+    catalog, _ = tiny_data
+    model = build_model(tiny_cfg(train__fusion="early", model__branches=branches), catalog)
+    idx = np.array([5, 0, catalog.n_items - 1, 5, 17])
+    embs = model.item_embeddings(idx)
+    mean = embs[model.branches[0]]
+    for b in model.branches[1:]:
+        mean = nm.add(mean, embs[b])
+    np.testing.assert_array_equal(
+        embs["fused"].data, nm.mul(mean, 1.0 / len(model.branches)).data
+    )
+    catalog_embs = trainer._all_item_embeddings(model, catalog.n_items)
+    assert set(catalog_embs) == {"fused"}
+    np.testing.assert_array_equal(embs["fused"].data, catalog_embs["fused"][idx])
+
+
 def test_fused_gru_trains_like_the_unrolled_chain(tiny_data, monkeypatch):
     catalog, dataset = tiny_data
     cfg = tiny_cfg(model__branches="id", model__backbone="recurrent",
@@ -306,8 +330,8 @@ def test_ablation_config_mapping():
     assert ablation_config(base, "random_init").model.id_init == "random"
     assert ablation_config(base, "no_id_mask").model.id_mask is False
     sep2 = ablation_config(base, "separate_fst_2")
-    assert sep2.model.fst == "separate" and sep2.model.separate_layers == 2
-    assert ablation_config(base, "separate_fst_1").model.separate_layers == 1
+    assert sep2.model.fst == "separate" and sep2.model.item_layers == 2
+    assert ablation_config(base, "separate_fst_1").model.item_layers == 1
     nd = ablation_config(base, "no_distill")
     assert nd.train.fusion == "late" and nd.distill.enabled is False
     assert ablation_config(base, "no_id").model.branch_list == ("v", "t")
