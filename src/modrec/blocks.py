@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import numerics as nm
-from .numerics import Parameter, Tensor
+from .numerics import Parameter
 
 
 def xavier(rng, fan_in, fan_out, shape=None):

@@ -5,16 +5,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import datetime
 import json
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from . import datagen, trainer
-from .config import load_config
+from .config import load_config, with_overrides
 
 
 def _out_root():
@@ -43,16 +42,11 @@ def _write_manifest(out_dir, cfg, outputs, started, finished):
 
 def _resolve_data(cfg):
     """Generate or load (catalog, dataset) according to data.source."""
-    d = cfg.data
-    if d.source == "synthetic":
-        return datagen.generate_synthetic(
-            n_items=d.n_items, n_users=d.n_users, n_clusters=d.n_clusters,
-            n_v=d.n_v, n_t=d.n_t, d_v=d.d_v, d_t=d.d_t, seed=cfg.seed,
-            p_intra=d.p_intra, n_pref=d.n_pref, item_noise=d.item_noise,
-            row_noise=d.row_noise, cold_frac=d.cold_frac,
-            p_cold_last=d.p_cold_last, max_len=d.max_len,
-        )
-    return datagen.load_dataset(d.source, max_len=d.max_len)
+    kwargs = dataclasses.asdict(cfg.data)
+    source = kwargs.pop("source")
+    if source == "synthetic":
+        return datagen.generate_synthetic(seed=cfg.seed, **kwargs)
+    return datagen.load_dataset(source, max_len=cfg.data.max_len)
 
 
 def _progress(epoch, recall10, last_total):
@@ -71,19 +65,6 @@ def cmd_gen(args):
     return 0
 
 
-def _train_one(cfg, catalog, dataset, out_dir, quiet=False):
-    result = trainer.train(cfg, catalog, dataset,
-                           progress=None if quiet else _progress)
-    os.makedirs(out_dir, exist_ok=True)
-    trainer.save_checkpoint(os.path.join(out_dir, "checkpoint.npz"), result.model)
-    trainer.write_metrics_json(os.path.join(out_dir, "metrics.json"), result.test_metrics)
-    trainer.write_loss_csv(os.path.join(out_dir, "losscurve.csv"), result.loss_log)
-    trainer.write_popularity_csv(
-        os.path.join(out_dir, "popularity.csv"), result.test_metrics, cfg.eval.ks
-    )
-    return result, ["checkpoint.npz", "metrics.json", "losscurve.csv", "popularity.csv"]
-
-
 def cmd_train(args):
     cfg = load_config(args.config, args.set)
     out_dir = args.out or os.path.join(_out_root(), "train")
@@ -92,8 +73,15 @@ def cmd_train(args):
         return 0
     started = _timestamp()
     catalog, dataset = _resolve_data(cfg)
+    result = trainer.train(cfg, catalog, dataset, progress=_progress)
     os.makedirs(out_dir, exist_ok=True)
-    result, outputs = _train_one(cfg, catalog, dataset, out_dir)
+    trainer.save_checkpoint(os.path.join(out_dir, "checkpoint.npz"), result.model)
+    trainer.write_metrics_json(os.path.join(out_dir, "metrics.json"), result.test_metrics)
+    trainer.write_loss_csv(os.path.join(out_dir, "losscurve.csv"), result.loss_log)
+    trainer.write_popularity_csv(
+        os.path.join(out_dir, "popularity.csv"), result.test_metrics, cfg.eval.ks
+    )
+    outputs = ["checkpoint.npz", "metrics.json", "losscurve.csv", "popularity.csv"]
     _write_manifest(out_dir, cfg, outputs, started, _timestamp())
     key = trainer.ensemble_key(result.model)
     print(f"best epoch {result.best_epoch}; "
@@ -151,31 +139,25 @@ def cmd_ablate(args):
 def cmd_sweep(args):
     cfg = load_config(args.config, args.set)
     out_dir = args.out or os.path.join(_out_root(), "sweep")
-    t_values = [float(x) for x in args.T_values.split(",")]
-    a_values = [float(x) for x in args.alpha_values.split(",")]
-    cells = [("none", None, None)]
-    cells += [("T", t, cfg.distill.alpha) for t in t_values]
-    cells += [("alpha", cfg.distill.T, a) for a in a_values]
+    # Each cell is one override on the base config; all are validated up front.
+    cells = [("none", "distill.enabled=false")]
+    cells += [("T", f"distill.T={t}") for t in args.T_values.split(",")]
+    cells += [("alpha", f"distill.alpha={a}") for a in args.alpha_values.split(",")]
+    cells = [(axis, with_overrides(cfg, [setting])) for axis, setting in cells]
+    coords = [("", "") if axis == "none" else (c.distill.T, c.distill.alpha) for axis, c in cells]
     if args.dry_run:
-        for axis, t, a in cells:
+        for (axis, _), (t, a) in zip(cells, coords):
             print(f"{axis}: T={t} alpha={a}")
         return 0
     started = _timestamp()
     catalog, dataset = _resolve_data(cfg)
     rows = []
-    for axis, t, a in cells:
-        cell_cfg = cfg.copy()
-        if axis == "none":
-            cell_cfg.distill.enabled = False
-        else:
-            cell_cfg.distill.T = t
-            cell_cfg.distill.alpha = a
+    for (axis, cell_cfg), (t, a) in zip(cells, coords):
         result = trainer.train(cell_cfg, catalog, dataset)
         key = trainer.ensemble_key(result.model)
         metrics = result.test_metrics["branches"][key]
         k = cfg.eval.ks[0]
-        row = {"axis": axis, "T": t if t is not None else "",
-               "alpha": a if a is not None else "",
+        row = {"axis": axis, "T": t, "alpha": a,
                f"recall@{k}": metrics[f"recall@{k}"],
                f"ndcg@{k}": metrics[f"ndcg@{k}"]}
         rows.append(row)

@@ -3,9 +3,15 @@ and command-line overrides (`--set section.key=value`)."""
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 from dataclasses import dataclass, field
+
+from .item_tower import ID_INIT_MODES
+from .seq_tower import BACKBONES
+
+SECTIONS = ("data", "model", "train", "distill", "eval")
 
 
 @dataclass
@@ -91,6 +97,10 @@ class ExperimentConfig:
                 f"train.fusion must be collaborative|early|late, got {self.train.fusion!r}"
             )
         m = self.model
+        if m.backbone not in BACKBONES:
+            raise ValueError(f"model.backbone must be one of {BACKBONES}, got {m.backbone!r}")
+        if m.id_init not in ID_INIT_MODES:
+            raise ValueError(f"model.id_init must be one of {ID_INIT_MODES}, got {m.id_init!r}")
         if m.d < 1:
             raise ValueError(f"model.d must be at least 1, got {m.d}")
         if m.heads < 1 or m.d % m.heads:
@@ -109,6 +119,10 @@ class ExperimentConfig:
             raise ValueError(f"eval.groups must be 0 (off) or at least 2, got {self.eval.groups}")
         if self.distill.T <= 0:
             raise ValueError(f"distill.T must be positive, got {self.distill.T}")
+        if self.distill.alpha < 1:
+            raise ValueError(f"distill.alpha must be at least 1, got {self.distill.alpha}")
+        if self.eval.val_users < 0:
+            raise ValueError(f"eval.val_users must be at least 0, got {self.eval.val_users}")
         t = self.train
         if t.lr <= 0:
             raise ValueError(f"train.lr must be positive, got {t.lr}")
@@ -122,21 +136,13 @@ class ExperimentConfig:
 
     def to_flat(self):
         flat = {"seed": self.seed}
-        for section in ("data", "model", "train", "distill", "eval"):
-            obj = getattr(self, section)
-            for f in dataclasses.fields(obj):
-                flat[f"{section}.{f.name}"] = getattr(obj, f.name)
+        for section in SECTIONS:
+            for name, value in dataclasses.asdict(getattr(self, section)).items():
+                flat[f"{section}.{name}"] = value
         return flat
 
     def copy(self):
-        return ExperimentConfig(
-            seed=self.seed,
-            data=dataclasses.replace(self.data),
-            model=dataclasses.replace(self.model),
-            train=dataclasses.replace(self.train),
-            distill=dataclasses.replace(self.distill),
-            eval=dataclasses.replace(self.eval, ks=list(self.eval.ks)),
-        )
+        return copy.deepcopy(self)
 
 
 def _coerce(raw, target_type, key):
@@ -176,16 +182,9 @@ def apply_setting(cfg, key, raw):
     if "." not in key:
         raise ValueError(f"unknown config key {key!r}; expected seed or section.name")
     section_name, field_name = key.split(".", 1)
-    if not hasattr(cfg, section_name) or section_name not in (
-        "data",
-        "model",
-        "train",
-        "distill",
-        "eval",
-    ):
+    if section_name not in SECTIONS:
         raise ValueError(
-            f"unknown config section {section_name!r}; "
-            "expected one of data, model, train, distill, eval"
+            f"unknown config section {section_name!r}; expected one of {', '.join(SECTIONS)}"
         )
     section = getattr(cfg, section_name)
     fields = {f.name: f for f in dataclasses.fields(section)}
@@ -196,6 +195,17 @@ def apply_setting(cfg, key, raw):
         )
     target_type = type(getattr(section, field_name))
     setattr(section, field_name, _coerce(raw, target_type, key))
+
+
+def with_overrides(cfg, settings):
+    """A validated copy of `cfg` with `section.key=value` settings applied."""
+    cfg = cfg.copy()
+    for setting in settings:
+        if "=" not in setting:
+            raise ValueError(f"override {setting!r} must look like key=value")
+        key, raw = (part.strip() for part in setting.split("=", 1))
+        apply_setting(cfg, key, raw)
+    return cfg.validate()
 
 
 def load_config(path=None, overrides=()):
@@ -211,9 +221,4 @@ def load_config(path=None, overrides=()):
                     raise ValueError(f"{path}:{lineno}: expected 'key = value'")
                 key, raw = (part.strip() for part in line.split("=", 1))
                 apply_setting(cfg, key, raw)
-    for ov in overrides:
-        if "=" not in ov:
-            raise ValueError(f"override {ov!r} must look like key=value")
-        key, raw = (part.strip() for part in ov.split("=", 1))
-        apply_setting(cfg, key, raw)
-    return cfg.validate()
+    return with_overrides(cfg, overrides)

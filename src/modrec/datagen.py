@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -164,10 +164,10 @@ def generate_synthetic(
     return catalog, dataset
 
 
-def split_leave_one_out(sequences, max_len=DEFAULT_MAX_LEN, min_len=MIN_SEQ_LEN):
-    """Truncate to the most recent max_len items and split (prefix, val, test)."""
+def split_leave_one_out(sequences, max_len=DEFAULT_MAX_LEN, min_len=MIN_SEQ_LEN, n_items=0):
+    """Truncate to the most recent max_len items and split (prefix, val, test);
+    `pop` spans at least `n_items` items."""
     kept, train, val, test = [], [], [], []
-    n_items = 0
     for seq in sequences:
         if len(seq) < min_len:
             continue
@@ -294,9 +294,4 @@ def load_dataset(catalog_dir, max_len=DEFAULT_MAX_LEN):
     bad = [item for seq in sequences for item in seq if not 0 <= item < catalog.n_items]
     if bad:
         raise ValueError(f"interactions.csv: item id {bad[0]} outside [0, {catalog.n_items})")
-    dataset = split_leave_one_out(sequences, max_len=max_len)
-    if dataset.pop.size < catalog.n_items:
-        pop = np.zeros(catalog.n_items, dtype=np.int64)
-        pop[: dataset.pop.size] = dataset.pop
-        dataset.pop = pop
-    return catalog, dataset
+    return catalog, split_leave_one_out(sequences, max_len=max_len, n_items=catalog.n_items)

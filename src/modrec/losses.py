@@ -4,6 +4,7 @@ ramp-up schedule combining them."""
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -25,6 +26,11 @@ class LossReport:
     total: float
     ce_row_mean: float  # combined CE per row, for cross-batch-size comparability
     kl_row_mean: float
+
+
+def _sum(terms):
+    """Left-to-right sum of tensors: ((t0 + t1) + t2) + ..."""
+    return functools.reduce(nm.add, terms)
 
 
 def debiased_scores(user_vecs, item_vecs, pop):
@@ -79,10 +85,7 @@ def ensemble_logits(branch_logits, detached=False):
     zs = list(branch_logits.values())
     if detached:
         zs = [z.detach() for z in zs]
-    acc = zs[0]
-    for z in zs[1:]:
-        acc = nm.add(acc, z)
-    return nm.mul(acc, 1.0 / len(zs))
+    return nm.mul(_sum(zs), 1.0 / len(zs))
 
 
 def distill_kl(teacher_logits, student_logits, temperature):
@@ -136,12 +139,7 @@ def ramp_weight(epoch, alpha):
 
 def total_loss(ce, kl, w):
     """L_total = sum of branch CE + w * sum of branch KL."""
-    loss = None
-    for v in ce.values():
-        loss = v if loss is None else nm.add(loss, v)
+    loss = _sum(ce.values())
     if kl and w > 0.0:
-        kl_sum = None
-        for v in kl.values():
-            kl_sum = v if kl_sum is None else nm.add(kl_sum, v)
-        loss = nm.add(loss, nm.mul(kl_sum, w))
+        loss = nm.add(loss, nm.mul(_sum(kl.values()), w))
     return loss

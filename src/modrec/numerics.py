@@ -74,10 +74,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
     def item(self):
         return float(self.data.reshape(()))
 
@@ -336,10 +332,7 @@ def tsum(a, axis=None, keepdims=False):
     a = _wrap(a)
 
     def bwd(g):
-        if axis is None:
-            _accum(a, np.broadcast_to(g, a.data.shape).copy())
-            return
-        gg = g if keepdims else np.expand_dims(g, axis)
+        gg = g if keepdims or axis is None else np.expand_dims(g, axis)
         _accum(a, np.broadcast_to(gg, a.data.shape).copy())
 
     return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), bwd)
@@ -353,10 +346,7 @@ def tmean(a, axis=None, keepdims=False):
         n = a.data.shape[axis]
 
     def bwd(g):
-        if axis is None:
-            _accum(a, np.broadcast_to(g / n, a.data.shape).copy())
-            return
-        gg = g if keepdims else np.expand_dims(g, axis)
+        gg = g if keepdims or axis is None else np.expand_dims(g, axis)
         _accum(a, np.broadcast_to(gg / n, a.data.shape).copy())
 
     return _make(a.data.mean(axis=axis, keepdims=keepdims), (a,), bwd)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import numerics as nm
-from .blocks import Linear, TransformerStack, xavier
+from .blocks import TransformerStack, xavier
 from .numerics import MASKED, Parameter
 
 BACKBONES = ("self_attention", "recurrent")
@@ -24,7 +24,6 @@ def causal_mask(length):
 
 class SelfAttentionSeqTower:
     def __init__(self, rng, d, max_len, layers=2, heads=2, name="seq"):
-        self.d = d
         self.max_len = max_len
         self.pos = Parameter(0.1 * rng.normal(size=(max_len, d)), f"{name}.pos")
         self.encoder = TransformerStack(rng, d, heads, layers, f"{name}.sa")
@@ -41,20 +40,12 @@ class SelfAttentionSeqTower:
         x = self.encoder(x, mask=causal_mask(t), drop=drop, rng=rng)
         return nm.take_steps(x, lengths - 1)
 
-    def encode_sequence(self, item_vecs, drop=0.0, rng=None):
-        """item_vecs: (L, d) single user sequence."""
-        length, d = item_vecs.shape
-        batched = nm.reshape(item_vecs, (1, length, d))
-        out = self.encode_batch(batched, np.array([length]), drop=drop, rng=rng)
-        return nm.reshape(out, (d,))
-
     def params(self):
         return [self.pos] + self.encoder.params()
 
 
 class GruSeqTower:
     def __init__(self, rng, d, max_len, layers=1, name="seq"):
-        self.d = d
         self.max_len = max_len
         self.cells = []
         for i in range(layers):
@@ -75,12 +66,6 @@ class GruSeqTower:
         for cell in self.cells:
             x = nm.gru_layer(x, lengths, **cell)
         return nm.take_steps(x, lengths - 1)
-
-    def encode_sequence(self, item_vecs, drop=0.0, rng=None):
-        length, d = item_vecs.shape
-        batched = nm.reshape(item_vecs, (1, length, d))
-        out = self.encode_batch(batched, np.array([length]))
-        return nm.reshape(out, (d,))
 
     def params(self):
         return [p for cell in self.cells for p in cell.values()]

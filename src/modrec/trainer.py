@@ -5,14 +5,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import losses as ls
 from . import numerics as nm
-from .config import ExperimentConfig, apply_setting
+from .config import ExperimentConfig, with_overrides
 from .datagen import make_batches
 from .item_tower import build_item_tower
 from .numerics import Adam, Tensor, no_grad
@@ -27,7 +26,6 @@ class Model:
     item_tower: object
     seq_towers: dict  # branch (or "fused") -> sequence tower
     branches: tuple  # item tower branches the model uses
-    fusion: str
     cfg: ExperimentConfig
 
     def item_embeddings(self, idx, drop=0.0, rng=None):
@@ -35,10 +33,7 @@ class Model:
         fusion), also the "fused" pseudo-branch: the mean of the branches."""
         embs = self.item_tower.item_embeddings(idx, drop=drop, rng=rng)
         if "fused" in self.seq_towers:
-            fused = embs[self.branches[0]]
-            for b in self.branches[1:]:
-                fused = nm.add(fused, embs[b])
-            embs["fused"] = nm.mul(fused, 1.0 / len(self.branches))
+            embs["fused"] = ls.ensemble_logits({b: embs[b] for b in self.branches})
         return embs
 
     def params(self):
@@ -74,37 +69,35 @@ def build_model(cfg, catalog):
         names.extend(p.name for p in tower.params())
     if len(names) != len(set(names)):
         raise ValueError("parameter names must be unique across towers")
-    return Model(item_tower, seq_towers, branches, cfg.train.fusion, cfg)
+    return Model(item_tower, seq_towers, branches, cfg)
 
 
 # -- batching helpers ------------------------------------------------------------
 
 
-def _pad_rows(rows, index_of=None):
-    """Right-pad item-id rows to a (B, T) index matrix plus real lengths."""
+def _pad_rows(rows):
+    """Right-pad item-id rows with 0 to a (B, T) index matrix plus real lengths."""
     lengths = np.array([len(r) for r in rows], dtype=np.int64)
-    t = int(lengths.max())
-    idx = np.zeros((len(rows), t), dtype=np.int64)
+    idx = np.zeros((len(rows), int(lengths.max())), dtype=np.int64)
     for i, r in enumerate(rows):
-        vals = [index_of[x] for x in r] if index_of is not None else list(r)
-        idx[i, : len(r)] = vals
+        idx[i, : len(r)] = r
     return idx, lengths
 
 
 def _branch_logits(model, batch, pop, drop=0.0, drop_rng=None):
     """Forward pass producing masked (B, C) logits per scoring branch."""
-    uniq = sorted(set(x for row in batch.prefixes for x in row) | set(batch.targets.tolist()))
-    index_of = {item: i for i, item in enumerate(uniq)}
-    embs = model.item_embeddings(np.array(uniq), drop=drop, rng=drop_rng)
+    # Item embeddings are computed once per distinct item of the batch. Padding
+    # (item 0) maps to row 0 whether or not item 0 occurs in the batch.
+    uniq = np.unique(np.concatenate(batch.prefixes + [batch.targets]))
+    embs = model.item_embeddings(uniq, drop=drop, rng=drop_rng)
+    candidates = np.unique(batch.targets)
+    cand_rows = np.searchsorted(uniq, candidates)
+    target_cols = np.searchsorted(candidates, batch.targets)
+    excl = ls.exclusion_mask(batch.exclusion_sets, candidates.tolist(), target_cols)
+    pop_c = pop[candidates]
 
-    candidates = sorted(set(batch.targets.tolist()))
-    cand_col = {item: j for j, item in enumerate(candidates)}
-    cand_rows = np.array([index_of[c] for c in candidates], dtype=np.int64)
-    target_cols = np.array([cand_col[t] for t in batch.targets.tolist()], dtype=np.int64)
-    excl = ls.exclusion_mask(batch.exclusion_sets, candidates, target_cols)
-    pop_c = pop[np.array(candidates)]
-
-    idx_mat, lengths = _pad_rows(batch.prefixes, index_of)
+    idx_mat, lengths = _pad_rows(batch.prefixes)
+    idx_mat = np.searchsorted(uniq, idx_mat)
     logits = {}
     for key, tower in model.seq_towers.items():
         seqs = nm.take_rows(embs[key], idx_mat)
@@ -119,7 +112,7 @@ def step_loss(model, batch, pop, epoch, drop=0.0, drop_rng=None):
     cfg = model.cfg
     logits, target_cols = _branch_logits(model, batch, pop, drop=drop, drop_rng=drop_rng)
     b = len(batch.prefixes)
-    if model.fusion == "late" and len(logits) > 1:
+    if cfg.train.fusion == "late" and len(logits) > 1:
         ce = {"ensemble": ls.inbatch_ce(ls.ensemble_logits(logits), target_cols)}
     else:
         ce = ls.collaborative_ce(logits, target_cols)
@@ -127,7 +120,7 @@ def step_loss(model, batch, pop, epoch, drop=0.0, drop_rng=None):
     w = 0.0
     if (
         cfg.distill.enabled
-        and model.fusion == "collaborative"
+        and cfg.train.fusion == "collaborative"
         and len(logits) > 1
     ):
         w = ls.ramp_weight(epoch, cfg.distill.alpha)
@@ -208,41 +201,30 @@ def evaluate(model, catalog, dataset, split="test", ks=(10, 20), n_groups=8,
              user_limit=0, chunk=256):
     """Full-catalog ranking metrics per branch and for the ensemble.
 
-    split="val": input = train prefix, target = val item, exclude prefix.
-    split="test": input = prefix + val item, target = test item, exclude both.
+    split="val": input = train prefix, target = val item.
+    split="test": input = prefix + val item, target = test item.
+    Every item of the input other than the target is excluded from the ranking.
     """
     if split not in ("val", "test"):
         raise ValueError(f"split must be val or test, got {split!r}")
     item_embs = _all_item_embeddings(model, catalog.n_items)
 
-    n_users = dataset.n_users
-    users = np.arange(n_users)
-    if user_limit and user_limit < n_users:
-        users = users[:user_limit]
-
-    group_of_item = None
-    if n_groups:
-        group_of_item = popularity_groups(dataset.pop, n_groups)
+    users = range(dataset.n_users)[: user_limit or None]
+    if split == "val":
+        rows, targets = [dataset.train[u] for u in users], dataset.val[users]
+    else:
+        rows = [dataset.train[u] + [int(dataset.val[u])] for u in users]
+        targets = dataset.test[users]
+    targets = targets.tolist()
+    excludes = [[x for x in row if x != t] for row, t in zip(rows, targets)]
+    target_groups = popularity_groups(dataset.pop, n_groups)[targets] if n_groups else None
 
     score_keys = list(model.seq_towers.keys())
     report_keys = score_keys + (["ensemble"] if len(score_keys) > 1 else [])
     ranks = {key: np.zeros(len(users), dtype=np.int64) for key in report_keys}
-    target_groups = np.zeros(len(users), dtype=np.int64)
 
     for start in range(0, len(users), chunk):
-        batch_users = users[start : start + chunk]
-        rows, targets, excludes = [], [], []
-        for u in batch_users:
-            prefix = dataset.train[u]
-            if split == "val":
-                rows.append(list(prefix)[-dataset.max_len:])
-                targets.append(int(dataset.val[u]))
-                excludes.append(set(prefix))
-            else:
-                rows.append((list(prefix) + [int(dataset.val[u])])[-dataset.max_len:])
-                targets.append(int(dataset.test[u]))
-                excludes.append(set(prefix) | {int(dataset.val[u])})
-        idx_mat, lengths = _pad_rows(rows)
+        idx_mat, lengths = _pad_rows(rows[start : start + chunk])
         branch_scores = {}
         with no_grad():
             for key, tower in model.seq_towers.items():
@@ -255,11 +237,8 @@ def evaluate(model, catalog, dataset, split="test", ks=(10, 20), n_groups=8,
                 [branch_scores[k] for k in score_keys], axis=0
             )
         for key, scores in branch_scores.items():
-            for i, (target, excl) in enumerate(zip(targets, excludes)):
-                excl.discard(target)
-                ranks[key][start + i] = rank_full_catalog(scores[i], excl, target)
-        if group_of_item is not None:
-            target_groups[start : start + len(batch_users)] = group_of_item[targets]
+            for i, score_row in enumerate(scores, start):
+                ranks[key][i] = rank_full_catalog(score_row, excludes[i], targets[i])
 
     return _metrics_report(ranks, target_groups, ks, n_groups, report_keys)
 
@@ -312,7 +291,6 @@ class TrainResult:
 
 def train(cfg, catalog, dataset, progress=None):
     """Train per config with validation-based model selection and early stopping."""
-    cfg.validate()
     model = build_model(cfg, catalog)
     optimizer = Adam(model.params(), lr=cfg.train.lr)
     drop_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
@@ -397,18 +375,15 @@ def ablation_config(base, variant):
     """A validated copy of `base` with the variant's overrides applied."""
     if variant not in ABLATIONS:
         raise ValueError(f"unknown ablation variant {variant!r}")
-    cfg = base.copy()
-    for setting in ABLATIONS[variant]:
-        apply_setting(cfg, *setting.split("=", 1))
-    return cfg.validate()
+    return with_overrides(base, ABLATIONS[variant])
 
 
 def run_ablation_matrix(base_cfg, catalog, dataset, variants=ABLATION_VARIANTS,
                         progress=None):
     """Train every ablation variant on shared data/seed; return metric rows."""
+    cfgs = [ablation_config(base_cfg, variant) for variant in variants]
     rows = []
-    for variant in variants:
-        cfg = ablation_config(base_cfg, variant)
+    for variant, cfg in zip(variants, cfgs):
         result = train(cfg, catalog, dataset)
         key = ensemble_key(result.model)
         row = {"variant": variant}

@@ -136,6 +136,21 @@ def test_ablate_and_sweep_csv_layout(out_root, monkeypatch):
         assert manifest["outputs"] == [name]
 
 
+def test_sweep_dry_run_rejects_a_bad_cell(capsys):
+    assert main(["sweep", "--dry-run", "--T-values", "0"]) == 1
+    assert "distill.T" in capsys.readouterr().err
+
+
+def test_sweep_validates_every_cell_before_training(out_root, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(trainer, "train", lambda *a, **kw: calls.append(a) or fake_train(*a))
+    sweep_dir = out_root / "sweep"
+    assert main(["sweep", "--out", str(sweep_dir), *TINY,
+                 "--T-values", "0.25,0", "--alpha-values", "30"]) == 1
+    assert "distill.T" in capsys.readouterr().err
+    assert calls == [] and not sweep_dir.exists()
+
+
 def test_sweep_dry_run_cell_layout(capsys):
     assert main([
         "sweep", "--dry-run",

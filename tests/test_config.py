@@ -46,6 +46,10 @@ def test_validate_rejects_bad_values():
     ("train.epochs", -1),
     ("data.cold_frac", -0.1),
     ("data.cold_frac", 2.0),
+    ("model.backbone", "transformer"),
+    ("model.id_init", "zeros"),
+    ("distill.alpha", 0.5),
+    ("eval.val_users", -1),
 ])
 def test_validate_rejects_bad_model_sizes(key, value):
     cfg = ExperimentConfig()
@@ -57,7 +61,8 @@ def test_validate_rejects_bad_model_sizes(key, value):
 def test_validate_keeps_boundary_values():
     cfg = ExperimentConfig()
     for key, value in [("eval.groups", 0), ("train.epochs", 0), ("train.batch_size", 2),
-                       ("data.cold_frac", 1.0), ("eval.ks", [1])]:
+                       ("data.cold_frac", 1.0), ("eval.ks", [1]), ("distill.alpha", 1.0),
+                       ("eval.val_users", 0)]:
         apply_setting(cfg, key, value)
     cfg.validate()
     apply_setting(cfg, "data.cold_frac", 0.0)

@@ -16,6 +16,8 @@ from modrec.datagen import (
 def test_split_definition():
     ds = split_leave_one_out([[0, 1, 2, 3, 4, 5]])
     assert ds.train == [[0, 1, 2, 3]]
+    assert ds.pop.tolist() == [1, 1, 1, 1, 0, 0]
+    assert split_leave_one_out([[0, 1, 2, 3, 4, 5]], n_items=8).pop.size == 8
     assert ds.val.tolist() == [4]
     assert ds.test.tolist() == [5]
 

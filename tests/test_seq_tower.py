@@ -37,9 +37,9 @@ def test_causal_mask_layout():
 
 @pytest.mark.parametrize("tower", towers(), ids=["self_attention", "recurrent"])
 def test_length_one_sequence(tower):
-    x = np.random.default_rng(1).normal(size=(1, 6))
-    out = tower.encode_sequence(Tensor(x))
-    assert out.shape == (6,)
+    x = np.random.default_rng(1).normal(size=(1, 1, 6))
+    out = tower.encode_batch(Tensor(x), np.array([1]))
+    assert out.shape == (1, 6)
     assert np.all(np.isfinite(out.data))
 
 
@@ -49,7 +49,7 @@ def test_future_positions_never_affect_earlier_readout(tower):
     seq = rng.normal(size=(5, 6))
     # readout at position j must ignore every row after j
     for j in range(4):
-        base = tower.encode_sequence(Tensor(seq[: j + 1])).data
+        base = tower.encode_batch(Tensor(seq[None, : j + 1]), np.array([j + 1])).data[0]
         bumped = seq.copy()
         bumped[j + 1 :] += 10.0
         batched, lengths = pad_batch([bumped], 6)
@@ -64,8 +64,8 @@ def test_batched_matches_single(tower):
     batched, lengths = pad_batch(rows, 6)
     out = tower.encode_batch(Tensor(batched), lengths)
     for i, row in enumerate(rows):
-        single = tower.encode_sequence(Tensor(row))
-        np.testing.assert_allclose(out.data[i], single.data, rtol=0, atol=1e-10)
+        single = tower.encode_batch(Tensor(row[None]), np.array([len(row)]))
+        np.testing.assert_allclose(out.data[i], single.data[0], rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("tower", towers(), ids=["self_attention", "recurrent"])

@@ -164,6 +164,30 @@ def first_batch(dataset, cfg):
     return next(make_batches(dataset, cfg.train.batch_size, seed=0))
 
 
+def test_branch_logits_match_a_per_row_reference(tiny_data):
+    """Columns are the batch's distinct targets in ascending order; each logit is
+    the row's debiased score, masked on the row's other history items."""
+    catalog, dataset = tiny_data
+    cfg = tiny_cfg()
+    model = build_model(cfg, catalog)
+    batch = first_batch(dataset, cfg)
+    logits, target_cols = trainer._branch_logits(model, batch, dataset.pop)
+    candidates = sorted(set(batch.targets.tolist()))
+    assert [candidates[j] for j in target_cols] == batch.targets.tolist()
+    mask = [[nm.MASKED if c in excl and c != t else 0.0 for c in candidates]
+            for excl, t in zip(batch.exclusion_sets, batch.targets)]
+    with nm.no_grad():
+        embs = model.item_embeddings(np.arange(catalog.n_items))
+    for key, tower in model.seq_towers.items():
+        e = embs[key].data
+        h = np.stack([
+            tower.encode_batch(nm.Tensor(e[p][None]), np.array([len(p)])).data[0]
+            for p in batch.prefixes
+        ])
+        want = h @ e[candidates].T - np.log(np.maximum(dataset.pop[candidates], 1)) + mask
+        np.testing.assert_allclose(logits[key].data, want, rtol=1e-9, atol=1e-9)
+
+
 def test_step_loss_collaborative_report(tiny_data):
     catalog, dataset = tiny_data
     cfg = tiny_cfg()
@@ -222,6 +246,43 @@ def test_evaluate_single_branch_has_no_ensemble(tiny_data):
     report = evaluate(model, catalog, dataset, n_groups=0)
     assert set(report["branches"]) == {"id"}
     assert "groups" not in report
+
+
+@pytest.mark.parametrize("split", ["val", "test"])
+def test_evaluate_ranks_match_per_user_brute_force(tiny_data, monkeypatch, split):
+    """Each rank equals a one-user ranking over the catalog minus every item of
+    the user's input row other than the target, with ties by ascending index."""
+    catalog, dataset = tiny_data
+    model = build_model(tiny_cfg(), catalog)
+    users = range(60)
+    if split == "val":
+        rows = [list(dataset.train[u]) for u in users]
+        targets = [int(dataset.val[u]) for u in users]
+    else:
+        rows = [list(dataset.train[u]) + [int(dataset.val[u])] for u in users]
+        targets = [int(dataset.test[u]) for u in users]
+    assert any(t in row for row, t in zip(rows, targets))  # a target inside its own input
+    scores = {}
+    with nm.no_grad():
+        embs = model.item_embeddings(np.arange(catalog.n_items))
+        for key, tower in model.seq_towers.items():
+            e = embs[key].data
+            scores[key] = [
+                tower.encode_batch(nm.Tensor(e[row][None]), np.array([len(row)])).data[0] @ e.T
+                for row in rows
+            ]
+    scores["ensemble"] = [np.mean(per_user, axis=0) for per_user in zip(*scores.values())]
+    expected = []
+    for key_scores in scores.values():  # evaluate's order: towers, then ensemble
+        for s, row, t in zip(key_scores, rows, targets):
+            visible = [j for j in range(catalog.n_items) if j == t or j not in row]
+            expected.append(sorted(visible, key=lambda j: (-s[j], j)).index(t) + 1)
+
+    seen = []
+    monkeypatch.setattr(trainer, "rank_full_catalog",
+                        lambda *args: seen.append(rank_full_catalog(*args)) or seen[-1])
+    evaluate(model, catalog, dataset, split=split, n_groups=0, user_limit=len(users))
+    assert seen == expected
 
 
 def test_val_and_test_splits_use_different_targets(tiny_data):
