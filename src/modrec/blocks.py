@@ -1,4 +1,5 @@
-"""Shared neural building blocks: linear layers, transformer encoder layers."""
+"""Shared neural building blocks: the Module base, linear layers, transformer
+encoder layers."""
 
 from __future__ import annotations
 
@@ -7,15 +8,37 @@ import numpy as np
 from . import numerics as nm
 from .numerics import Parameter
 
+FF_MULT = 4  # transformer feed-forward width, in multiples of d
 
-def xavier(rng, fan_in, fan_out, shape=None):
-    if shape is None:
-        shape = (fan_in, fan_out)
+
+def xavier(rng, fan_in, fan_out):
     bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)
+    return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
-class Linear:
+def _find_params(obj):
+    if isinstance(obj, Parameter):
+        return [obj]
+    if isinstance(obj, Module):
+        obj = vars(obj).values()
+    elif isinstance(obj, dict):
+        obj = obj.values()
+    elif not isinstance(obj, (list, tuple)):
+        return []
+    return [p for value in obj for p in _find_params(value)]
+
+
+class Module:
+    """Base of every layer, tower and model that owns Parameters. params()
+    finds them among the attributes in assignment order, which is the
+    optimizer's and the checkpoint's, looking inside Modules, lists, tuples
+    and dict values."""
+
+    def params(self):
+        return _find_params(self)
+
+
+class Linear(Module):
     def __init__(self, rng, d_in, d_out, name):
         self.W = Parameter(xavier(rng, d_in, d_out), f"{name}.W")
         self.b = Parameter(np.zeros(d_out), f"{name}.b")
@@ -23,40 +46,32 @@ class Linear:
     def __call__(self, x):
         return nm.linear(x, self.W, self.b)
 
-    def params(self):
-        return [self.W, self.b]
 
-
-class MlpHead:
+class MlpHead(Module):
     """Two-layer head with a LeakyReLU between the layers."""
 
-    def __init__(self, rng, d, name, slope=0.01):
+    def __init__(self, rng, d, name):
         self.l1 = Linear(rng, d, d, f"{name}.l1")
         self.l2 = Linear(rng, d, d, f"{name}.l2")
-        self.slope = slope
 
     def __call__(self, x):
-        return self.l2(nm.leaky_relu(self.l1(x), self.slope))
-
-    def params(self):
-        return self.l1.params() + self.l2.params()
+        return self.l2(nm.leaky_relu(self.l1(x)))
 
 
-class TransformerLayer:
+class TransformerLayer(Module):
     """Post-norm encoder layer: masked multi-head self-attention + FFN."""
 
-    def __init__(self, rng, d, heads, name, ff_mult=4):
+    def __init__(self, rng, d, heads, name):
         if d % heads != 0:
             raise ValueError(f"hidden size {d} not divisible by {heads} heads")
-        self.d = d
         self.heads = heads
         self.dh = d // heads
         self.wq = Linear(rng, d, d, f"{name}.wq")
         self.wk = Linear(rng, d, d, f"{name}.wk")
         self.wv = Linear(rng, d, d, f"{name}.wv")
         self.wo = Linear(rng, d, d, f"{name}.wo")
-        self.ff1 = Linear(rng, d, ff_mult * d, f"{name}.ff1")
-        self.ff2 = Linear(rng, ff_mult * d, d, f"{name}.ff2")
+        self.ff1 = Linear(rng, d, FF_MULT * d, f"{name}.ff1")
+        self.ff2 = Linear(rng, FF_MULT * d, d, f"{name}.ff2")
         self.ln1_g = Parameter(np.ones(d), f"{name}.ln1.g")
         self.ln1_b = Parameter(np.zeros(d), f"{name}.ln1.b")
         self.ln2_g = Parameter(np.ones(d), f"{name}.ln2.g")
@@ -85,25 +100,14 @@ class TransformerLayer:
             ff = nm.dropout(ff, drop, rng)
         return nm.layer_norm(nm.add(x, ff), self.ln2_g, self.ln2_b)
 
-    def params(self):
-        out = []
-        for lin in (self.wq, self.wk, self.wv, self.wo, self.ff1, self.ff2):
-            out.extend(lin.params())
-        out.extend([self.ln1_g, self.ln1_b, self.ln2_g, self.ln2_b])
-        return out
 
-
-class TransformerStack:
-    def __init__(self, rng, d, heads, layers, name, ff_mult=4):
+class TransformerStack(Module):
+    def __init__(self, rng, d, heads, layers, name):
         self.layers = [
-            TransformerLayer(rng, d, heads, f"{name}.layer{i}", ff_mult)
-            for i in range(layers)
+            TransformerLayer(rng, d, heads, f"{name}.layer{i}") for i in range(layers)
         ]
 
     def __call__(self, x, mask=None, drop=0.0, rng=None):
         for layer in self.layers:
             x = layer(x, mask=mask, drop=drop, rng=rng)
         return x
-
-    def params(self):
-        return [p for layer in self.layers for p in layer.params()]

@@ -24,20 +24,18 @@ def _timestamp():
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _write_manifest(out_dir, cfg, outputs, started, finished):
+def _write_manifest(out_dir, cfg, outputs, started):
     manifest = {
         "config": {k: v for k, v in sorted(cfg.to_flat().items())},
         "seed": cfg.seed,
         "version": __version__,
         "started": started,
-        "finished": finished,
+        "finished": _timestamp(),
         "outputs": sorted(outputs),
     }
-    path = os.path.join(out_dir, "run_manifest.json")
-    with open(path, "w") as f:
+    with open(os.path.join(out_dir, "run_manifest.json"), "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
-    return path
 
 
 def _resolve_data(cfg):
@@ -60,7 +58,7 @@ def cmd_gen(args):
     catalog, dataset = _resolve_data(cfg)
     datagen.save_catalog(out_dir, catalog, dataset.sequences)
     outputs = ["manifest.json", "visual.f64", "textual.f64", "interactions.csv"]
-    _write_manifest(out_dir, cfg, outputs, started, _timestamp())
+    _write_manifest(out_dir, cfg, outputs, started)
     print(f"wrote catalog with {catalog.n_items} items, {dataset.n_users} users to {out_dir}")
     return 0
 
@@ -82,7 +80,10 @@ def cmd_train(args):
         os.path.join(out_dir, "popularity.csv"), result.test_metrics, cfg.eval.ks
     )
     outputs = ["checkpoint.npz", "metrics.json", "losscurve.csv", "popularity.csv"]
-    _write_manifest(out_dir, cfg, outputs, started, _timestamp())
+    _write_manifest(out_dir, cfg, outputs, started)
+    if not result.test_metrics:
+        print("no epoch ran (train.epochs=0); metrics.json is empty")
+        return 0
     key = trainer.ensemble_key(result.model)
     print(f"best epoch {result.best_epoch}; "
           f"test metrics ({key}): {result.test_metrics['branches'][key]}")
@@ -103,7 +104,7 @@ def cmd_eval(args):
     os.makedirs(out_dir, exist_ok=True)
     trainer.write_metrics_json(os.path.join(out_dir, "metrics.json"), report)
     trainer.write_popularity_csv(os.path.join(out_dir, "popularity.csv"), report, cfg.eval.ks)
-    _write_manifest(out_dir, cfg, ["metrics.json", "popularity.csv"], started, _timestamp())
+    _write_manifest(out_dir, cfg, ["metrics.json", "popularity.csv"], started)
     print(json.dumps(report["branches"], indent=2, sort_keys=True))
     return 0
 
@@ -115,7 +116,7 @@ def _write_grid(out_dir, filename, rows, cfg, started):
         w = csv.DictWriter(f, fieldnames=list(rows[0].keys()))
         w.writeheader()
         w.writerows(rows)
-    _write_manifest(out_dir, cfg, [filename], started, _timestamp())
+    _write_manifest(out_dir, cfg, [filename], started)
 
 
 def cmd_ablate(args):

@@ -8,10 +8,45 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 
-from .item_tower import ID_INIT_MODES
+from .item_tower import _STACKS, ID_INIT_MODES
 from .seq_tower import BACKBONES
 
 SECTIONS = ("data", "model", "train", "distill", "eval")
+FUSIONS = ("collaborative", "early", "late")
+
+
+def _branch_list(branches):
+    return tuple(b.strip() for b in branches.split(",") if b.strip())
+
+
+def _valid_branches(branches):
+    bl = _branch_list(branches)
+    return bl and set(bl) <= {"v", "t", "id"} and len(set(bl)) == len(bl)
+
+
+# What validate() accepts, one (flat key, test, requirement) entry per check,
+# checked in this order.
+RULES = (
+    ("model.branches", _valid_branches, "a subset of v,t,id"),
+    ("model.fst", lambda v: v in _STACKS, f"one of {tuple(_STACKS)}"),
+    ("train.fusion", lambda v: v in FUSIONS, f"one of {FUSIONS}"),
+    ("model.backbone", lambda v: v in BACKBONES, f"one of {BACKBONES}"),
+    ("model.id_init", lambda v: v in ID_INIT_MODES, f"one of {ID_INIT_MODES}"),
+    ("model.d", lambda v: v >= 1, "at least 1"),
+    ("model.heads", lambda v: v >= 1, "at least 1"),
+    ("model.gru_layers", lambda v: v >= 1, "at least 1"),
+    ("model.dropout", lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+    ("eval.ks", lambda ks: ks and all(isinstance(k, int) and k >= 1 for k in ks),
+     "a nonempty list of integers >= 1"),
+    ("eval.groups", lambda v: v == 0 or v >= 2, "0 (off) or at least 2"),
+    ("distill.T", lambda v: v > 0, "positive"),
+    ("distill.alpha", lambda v: v >= 1, "at least 1"),
+    ("eval.val_users", lambda v: v >= 0, "at least 0"),
+    ("train.lr", lambda v: v > 0, "positive"),
+    ("train.batch_size", lambda v: v >= 2, "at least 2"),
+    ("train.epochs", lambda v: v >= 0, "at least 0"),
+    ("data.cold_frac", lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+)
 
 
 @dataclass
@@ -36,7 +71,7 @@ class DataCfg:
 @dataclass
 class ModelCfg:
     branches: str = "v,t,id"  # subset of {v, t, id}; "id" alone = classical baseline
-    fst: str = "imt"  # imt | separate | dnn
+    fst: str = "imt"  # a key of item_tower._STACKS
     item_layers: int = 2  # transformer depth of the imt stack and of each separate stack
     heads: int = 2
     d: int = 32
@@ -49,7 +84,7 @@ class ModelCfg:
 
     @property
     def branch_list(self):
-        return tuple(b.strip() for b in self.branches.split(",") if b.strip())
+        return _branch_list(self.branches)
 
 
 @dataclass
@@ -59,7 +94,7 @@ class TrainCfg:
     epochs: int = 30
     patience: int = 5
     sample_cut: bool = True
-    fusion: str = "collaborative"  # collaborative | early | late
+    fusion: str = "collaborative"  # one of FUSIONS
 
 
 @dataclass
@@ -86,52 +121,14 @@ class ExperimentConfig:
     eval: EvalCfg = field(default_factory=EvalCfg)
 
     def validate(self):
-        valid_branches = {"v", "t", "id"}
-        bl = self.model.branch_list
-        if not bl or not set(bl) <= valid_branches or len(set(bl)) != len(bl):
-            raise ValueError(f"model.branches must be a subset of v,t,id; got {self.model.branches!r}")
-        if self.model.fst not in ("imt", "separate", "dnn"):
-            raise ValueError(f"model.fst must be imt|separate|dnn, got {self.model.fst!r}")
-        if self.train.fusion not in ("collaborative", "early", "late"):
+        flat = self.to_flat()
+        for key, accepts, requirement in RULES:
+            if not accepts(flat[key]):
+                raise ValueError(f"{key} must be {requirement}, got {flat[key]!r}")
+        if self.model.d % self.model.heads:
             raise ValueError(
-                f"train.fusion must be collaborative|early|late, got {self.train.fusion!r}"
+                f"model.heads must divide model.d={self.model.d}, got {self.model.heads}"
             )
-        m = self.model
-        if m.backbone not in BACKBONES:
-            raise ValueError(f"model.backbone must be one of {BACKBONES}, got {m.backbone!r}")
-        if m.id_init not in ID_INIT_MODES:
-            raise ValueError(f"model.id_init must be one of {ID_INIT_MODES}, got {m.id_init!r}")
-        if m.d < 1:
-            raise ValueError(f"model.d must be at least 1, got {m.d}")
-        if m.heads < 1 or m.d % m.heads:
-            raise ValueError(
-                f"model.heads must be a positive divisor of model.d={m.d}, got {m.heads}"
-            )
-        if m.gru_layers < 1:
-            raise ValueError(f"model.gru_layers must be at least 1, got {m.gru_layers}")
-        if not 0.0 <= m.dropout < 1.0:
-            raise ValueError(f"model.dropout must lie in [0, 1), got {m.dropout}")
-        if not self.eval.ks:
-            raise ValueError("eval.ks must be nonempty")
-        if not all(isinstance(k, int) and k >= 1 for k in self.eval.ks):
-            raise ValueError(f"eval.ks entries must be at least 1, got {self.eval.ks}")
-        if self.eval.groups != 0 and self.eval.groups < 2:
-            raise ValueError(f"eval.groups must be 0 (off) or at least 2, got {self.eval.groups}")
-        if self.distill.T <= 0:
-            raise ValueError(f"distill.T must be positive, got {self.distill.T}")
-        if self.distill.alpha < 1:
-            raise ValueError(f"distill.alpha must be at least 1, got {self.distill.alpha}")
-        if self.eval.val_users < 0:
-            raise ValueError(f"eval.val_users must be at least 0, got {self.eval.val_users}")
-        t = self.train
-        if t.lr <= 0:
-            raise ValueError(f"train.lr must be positive, got {t.lr}")
-        if t.batch_size < 2:
-            raise ValueError(f"train.batch_size must be at least 2, got {t.batch_size}")
-        if t.epochs < 0:
-            raise ValueError(f"train.epochs must be at least 0, got {t.epochs}")
-        if not 0.0 <= self.data.cold_frac <= 1.0:
-            raise ValueError(f"data.cold_frac must lie in [0, 1], got {self.data.cold_frac}")
         return self
 
     def to_flat(self):

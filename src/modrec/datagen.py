@@ -16,8 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DataCfg
+
 MIN_SEQ_LEN = 6  # users with fewer interactions are dropped
-DEFAULT_MAX_LEN = 15
+MAX_RAW_LEN = 18  # longest synthetic sequence before truncation to max_len
+MANIFEST_KEYS = ("n_items", "n_v", "n_t", "d_v", "d_t")
 
 
 @dataclass
@@ -37,16 +40,13 @@ class Catalog:
     d_t: int
 
     def __post_init__(self):
-        if self.visual.shape != (self.n_items, self.n_v + 1, self.d_v):
-            raise ValueError(
-                f"visual features shape {self.visual.shape} does not match "
-                f"(n_items={self.n_items}, n_v+1={self.n_v + 1}, d_v={self.d_v})"
-            )
-        if self.textual.shape != (self.n_items, self.n_t + 1, self.d_t):
-            raise ValueError(
-                f"textual features shape {self.textual.shape} does not match "
-                f"(n_items={self.n_items}, n_t+1={self.n_t + 1}, d_t={self.d_t})"
-            )
+        for name, n, d in (("visual", self.n_v, self.d_v), ("textual", self.n_t, self.d_t)):
+            shape = getattr(self, name).shape
+            if shape != (self.n_items, n + 1, d):
+                raise ValueError(
+                    f"{name} features shape {shape} does not match "
+                    f"(n_items={self.n_items}, n_{name[0]}+1={n + 1}, d_{name[0]}={d})"
+                )
 
     @property
     def visual_cls(self):
@@ -66,7 +66,6 @@ class InteractionDataset:
     val: np.ndarray  # per-user validation item
     test: np.ndarray  # per-user test item
     pop: np.ndarray  # per-item frequency over train prefixes only
-    max_len: int
 
     @property
     def n_users(self):
@@ -80,55 +79,44 @@ class Batch:
     exclusion_sets: list  # per row: set of items overlapping that row's prefix
 
 
-def generate_synthetic(
-    n_items=2000,
-    n_users=2000,
-    n_clusters=64,
-    n_v=4,
-    n_t=8,
-    d_v=32,
-    d_t=32,
-    seed=0,
-    p_intra=0.8,
-    n_pref=1,
-    item_noise=0.3,
-    row_noise=0.3,
-    cold_frac=0.05,
-    p_cold_last=0.1,
-    min_len=MIN_SEQ_LEN,
-    max_raw_len=18,
-    max_len=DEFAULT_MAX_LEN,
-):
-    """Build a clustered catalog and user sequences, already split leave-one-out."""
-    if n_clusters > n_items:
+def generate_synthetic(seed=0, **params):
+    """Build a clustered catalog and user sequences, already split leave-one-out.
+
+    `params` are `DataCfg` fields other than `source`; unset ones keep the
+    `DataCfg` defaults.
+    """
+    if "source" in params:
+        raise TypeError("generate_synthetic() takes no 'source'; it is the synthetic source")
+    p = DataCfg(**params)
+    if p.n_clusters > p.n_items:
         raise ValueError("n_clusters must not exceed n_items")
-    if min(n_v, n_t, d_v, d_t, n_items, n_users, n_clusters) < 1:
+    if min(p.n_v, p.n_t, p.d_v, p.d_t, p.n_items, p.n_users, p.n_clusters) < 1:
         raise ValueError("all sizes and dims must be >= 1")
     rng = np.random.default_rng(seed)
 
-    cluster_of = rng.integers(0, n_clusters, size=n_items)
+    cluster_of = rng.integers(0, p.n_clusters, size=p.n_items)
     # Guarantee every cluster is populated when possible.
-    cluster_of[:n_clusters] = np.arange(n_clusters)
+    cluster_of[:p.n_clusters] = np.arange(p.n_clusters)
 
-    centroids_v = rng.normal(size=(n_clusters, d_v))
-    centroids_t = rng.normal(size=(n_clusters, d_t))
-    base_v = centroids_v[cluster_of] + item_noise * rng.normal(size=(n_items, d_v))
-    base_t = centroids_t[cluster_of] + item_noise * rng.normal(size=(n_items, d_t))
-    visual = base_v[:, None, :] + row_noise * rng.normal(size=(n_items, n_v + 1, d_v))
-    textual = base_t[:, None, :] + row_noise * rng.normal(size=(n_items, n_t + 1, d_t))
-    catalog = Catalog(n_items, visual, textual, n_v, n_t, d_v, d_t)
+    centroids_v = rng.normal(size=(p.n_clusters, p.d_v))
+    centroids_t = rng.normal(size=(p.n_clusters, p.d_t))
+    base_v = centroids_v[cluster_of] + p.item_noise * rng.normal(size=(p.n_items, p.d_v))
+    base_t = centroids_t[cluster_of] + p.item_noise * rng.normal(size=(p.n_items, p.d_t))
+    visual = base_v[:, None, :] + p.row_noise * rng.normal(size=(p.n_items, p.n_v + 1, p.d_v))
+    textual = base_t[:, None, :] + p.row_noise * rng.normal(size=(p.n_items, p.n_t + 1, p.d_t))
+    catalog = Catalog(p.n_items, visual, textual, p.n_v, p.n_t, p.d_v, p.d_t)
 
     # Cold items can only ever appear as a user's final interaction.
-    n_cold = int(round(cold_frac * n_items))
-    cold = np.zeros(n_items, dtype=bool)
+    n_cold = int(round(p.cold_frac * p.n_items))
+    cold = np.zeros(p.n_items, dtype=bool)
     if n_cold:
-        cold[rng.choice(n_items, size=n_cold, replace=False)] = True
+        cold[rng.choice(p.n_items, size=n_cold, replace=False)] = True
 
     # Popularity skew within the warm pool, so in-batch debiasing has teeth.
-    weight = rng.lognormal(mean=0.0, sigma=1.0, size=n_items)
+    weight = rng.lognormal(mean=0.0, sigma=1.0, size=p.n_items)
     weight[cold] = 0.0
 
-    members = [np.flatnonzero(cluster_of == c) for c in range(n_clusters)]
+    members = [np.flatnonzero(cluster_of == c) for c in range(p.n_clusters)]
     warm_members, warm_w, cold_members = [], [], []
     for m in members:
         wm = m[~cold[m]]
@@ -141,35 +129,35 @@ def generate_synthetic(
 
     def draw_item(cluster, allow_cold):
         wm = warm_members[cluster]
-        if allow_cold and cold_members[cluster].size and rng.random() < p_cold_last:
+        if allow_cold and cold_members[cluster].size and rng.random() < p.p_cold_last:
             return int(rng.choice(cold_members[cluster]))
         if wm.size == 0:
             return int(rng.choice(warm_all, p=warm_all_w))
         return int(rng.choice(wm, p=warm_w[cluster]))
 
     sequences = []
-    for _ in range(n_users):
-        prefs = rng.choice(n_clusters, size=min(n_pref, n_clusters), replace=False)
-        length = int(rng.integers(min_len, max_raw_len + 1))
+    for _ in range(p.n_users):
+        prefs = rng.choice(p.n_clusters, size=min(p.n_pref, p.n_clusters), replace=False)
+        length = int(rng.integers(MIN_SEQ_LEN, MAX_RAW_LEN + 1))
         seq = []
         for pos in range(length):
-            if rng.random() < p_intra:
+            if rng.random() < p.p_intra:
                 cluster = int(rng.choice(prefs))
             else:
-                cluster = int(rng.integers(0, n_clusters))
+                cluster = int(rng.integers(0, p.n_clusters))
             seq.append(draw_item(cluster, allow_cold=(pos == length - 1)))
         sequences.append(seq)
 
-    dataset = split_leave_one_out(sequences, max_len=max_len, min_len=min_len)
+    dataset = split_leave_one_out(sequences, max_len=p.max_len)
     return catalog, dataset
 
 
-def split_leave_one_out(sequences, max_len=DEFAULT_MAX_LEN, min_len=MIN_SEQ_LEN, n_items=0):
+def split_leave_one_out(sequences, max_len=DataCfg.max_len, n_items=0):
     """Truncate to the most recent max_len items and split (prefix, val, test);
     `pop` spans at least `n_items` items."""
     kept, train, val, test = [], [], [], []
     for seq in sequences:
-        if len(seq) < min_len:
+        if len(seq) < MIN_SEQ_LEN:
             continue
         seq = list(seq[-max_len:])
         if len(seq) < 3:
@@ -189,7 +177,6 @@ def split_leave_one_out(sequences, max_len=DEFAULT_MAX_LEN, min_len=MIN_SEQ_LEN,
         val=np.asarray(val, dtype=np.int64),
         test=np.asarray(test, dtype=np.int64),
         pop=pop,
-        max_len=max_len,
     )
 
 
@@ -223,13 +210,7 @@ def make_batches(dataset, batch_size, seed, sample_cut=True):
 def save_catalog(out_dir, catalog, sequences):
     """Write the documented catalog directory layout."""
     os.makedirs(out_dir, exist_ok=True)
-    manifest = {
-        "n_items": catalog.n_items,
-        "n_v": catalog.n_v,
-        "n_t": catalog.n_t,
-        "d_v": catalog.d_v,
-        "d_t": catalog.d_t,
-    }
+    manifest = {key: getattr(catalog, key) for key in MANIFEST_KEYS}
     with open(os.path.join(out_dir, "manifest.json"), "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -250,7 +231,7 @@ def load_features(catalog_dir):
         raise FileNotFoundError(f"missing manifest.json in {catalog_dir}")
     with open(manifest_path) as f:
         m = json.load(f)
-    n_items, n_v, n_t, d_v, d_t = (m[k] for k in ("n_items", "n_v", "n_t", "d_v", "d_t"))
+    n_items, n_v, n_t, d_v, d_t = (m[k] for k in MANIFEST_KEYS)
     visual = _read_f64(os.path.join(catalog_dir, "visual.f64"), (n_items, n_v + 1, d_v))
     textual = _read_f64(os.path.join(catalog_dir, "textual.f64"), (n_items, n_t + 1, d_t))
     return Catalog(n_items, visual, textual, n_v, n_t, d_v, d_t)
@@ -266,6 +247,8 @@ def _read_f64(path, shape):
             f"{path}: expected {expected} float64 values for shape {shape}, "
             f"found {data.size}"
         )
+    if not np.isfinite(data).all():
+        raise ValueError(f"{path}: non-finite feature value (NaN or Inf)")
     return data.reshape(shape)
 
 
@@ -288,7 +271,7 @@ def load_interactions(catalog_dir):
     return sequences
 
 
-def load_dataset(catalog_dir, max_len=DEFAULT_MAX_LEN):
+def load_dataset(catalog_dir, max_len=DataCfg.max_len):
     catalog = load_features(catalog_dir)
     sequences = load_interactions(catalog_dir)
     bad = [item for seq in sequences for item in seq if not 0 <= item < catalog.n_items]

@@ -12,10 +12,11 @@ from __future__ import annotations
 import numpy as np
 
 from . import numerics as nm
-from .blocks import Linear, MlpHead, TransformerStack
+from .blocks import Linear, MlpHead, Module, TransformerStack
 from .numerics import MASKED, Parameter, Tensor
 
 ID_INIT_MODES = ("avg_modal", "text", "image", "random")
+ID_INIT_SCALE = 0.1  # std of a randomly initialised ID table
 
 
 def build_id_isolation_mask(n_v, n_t, id_mask=True):
@@ -35,7 +36,7 @@ def build_id_isolation_mask(n_v, n_t, id_mask=True):
     return mask
 
 
-def init_id_table(catalog, mode, seed=0, d_id=None, scale=0.1):
+def init_id_table(catalog, mode, seed=0):
     """Build the learnable per-item ID table under the chosen init mode."""
     if mode not in ID_INIT_MODES:
         raise ValueError(f"unknown id init mode {mode!r}; expected one of {ID_INIT_MODES}")
@@ -48,10 +49,8 @@ def init_id_table(catalog, mode, seed=0, d_id=None, scale=0.1):
     elif mode == "image":
         data = catalog.visual_cls.copy()
     else:
-        if d_id is None:
-            d_id = catalog.d_v
         rng = np.random.default_rng(seed)
-        data = scale * rng.normal(size=(catalog.n_items, d_id))
+        data = ID_INIT_SCALE * rng.normal(size=(catalog.n_items, catalog.d_v))
     return Parameter(data, "id_table")
 
 
@@ -59,7 +58,7 @@ def init_id_table(catalog, mode, seed=0, d_id=None, scale=0.1):
 _STACKS = {"imt": ("fused",), "separate": ("sep_v", "sep_t"), "dnn": ()}
 
 
-class ItemTower:
+class ItemTower(Module):
     """Visual and textual branches plus an optional ID branch.
 
     Every variant projects each input to d and ends each branch in an MLP
@@ -80,38 +79,37 @@ class ItemTower:
         layers=2,
         heads=2,
         id_mask=True,
-        name="item",
     ):
         if fst not in _STACKS:
             raise ValueError(f"unknown fst variant {fst!r}; expected one of {tuple(_STACKS)}")
         self.catalog = catalog
-        self.id_table = id_table
         self.d = d
         self.fst = fst
-        self.include_id = id_table is not None
-        self.proj_v = Linear(rng, catalog.d_v, d, f"{name}.proj_v")
-        self.proj_t = Linear(rng, catalog.d_t, d, f"{name}.proj_t")
+        self.proj_v = Linear(rng, catalog.d_v, d, "item.proj_v")
+        self.proj_t = Linear(rng, catalog.d_t, d, "item.proj_t")
         self.encoders = [
-            TransformerStack(rng, d, heads, layers, f"{name}.{stack}") for stack in _STACKS[fst]
+            TransformerStack(rng, d, heads, layers, f"item.{stack}") for stack in _STACKS[fst]
         ]
-        self.head_v = MlpHead(rng, d, f"{name}.head_v")
-        self.head_t = MlpHead(rng, d, f"{name}.head_t")
+        self.head_v = MlpHead(rng, d, "item.head_v")
+        self.head_t = MlpHead(rng, d, "item.head_t")
+        # params() follows assignment order, so the ID branch comes last.
+        self.id_table = id_table
         self.mask = None  # only an imt joint sequence with an ID slot is masked
-        if self.include_id:
-            self.proj_id = Linear(rng, id_table.shape[1], d, f"{name}.proj_id")
-            self.head_id = MlpHead(rng, d, f"{name}.head_id")
+        if id_table is not None:
+            self.proj_id = Linear(rng, id_table.shape[1], d, "item.proj_id")
+            self.head_id = MlpHead(rng, d, "item.head_id")
             if fst == "imt":
                 self.mask = build_id_isolation_mask(catalog.n_v, catalog.n_t, id_mask)
 
     @property
     def branches(self):
-        return ("v", "t", "id") if self.include_id else ("v", "t")
+        return ("v", "t", "id") if self.id_table is not None else ("v", "t")
 
     def item_embeddings(self, item_idx, drop=0.0, rng=None):
         item_idx = np.asarray(item_idx, dtype=np.int64)
         cat, n = self.catalog, len(item_idx)
         eid = None
-        if self.include_id:
+        if self.id_table is not None:
             eid = self.proj_id(nm.take_rows(self.id_table, item_idx))
         if self.fst == "dnn":
             v_cls = self.proj_v(Tensor(cat.visual_cls[item_idx]))
@@ -137,22 +135,12 @@ class ItemTower:
             out["id"] = self.head_id(eid)
         return out
 
-    def params(self):
-        out = self.proj_v.params() + self.proj_t.params()
-        for encoder in self.encoders:
-            out += encoder.params()
-        out += self.head_v.params() + self.head_t.params()
-        if self.include_id:
-            out += [self.id_table] + self.proj_id.params() + self.head_id.params()
-        return out
 
-
-class IdOnlyTower:
+class IdOnlyTower(Module):
     """Classical ID embedding lookup; the table itself is the item embedding."""
 
-    def __init__(self, n_items, d, rng, name="item", scale=0.1):
-        self.id_table = Parameter(scale * rng.normal(size=(n_items, d)), f"{name}.id_table")
-        self.d = d
+    def __init__(self, n_items, d, rng):
+        self.id_table = Parameter(ID_INIT_SCALE * rng.normal(size=(n_items, d)), "item.id_table")
 
     @property
     def branches(self):
@@ -160,9 +148,6 @@ class IdOnlyTower:
 
     def item_embeddings(self, item_idx, drop=0.0, rng=None):
         return {"id": nm.take_rows(self.id_table, np.asarray(item_idx, dtype=np.int64))}
-
-    def params(self):
-        return [self.id_table]
 
 
 def build_item_tower(catalog, cfg_model, rng, id_init_seed=0):

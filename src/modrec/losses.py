@@ -57,34 +57,36 @@ def exclusion_mask(exclusion_sets, candidates, target_cols):
             j = cand_pos.get(item)
             if j is not None and j != target_cols[i]:
                 mask[i, j] = MASKED
+    _warn_if_collapsed(mask)
     return mask
+
+
+def _warn_if_collapsed(excl_mask):
+    """Warn when a row sees at most one column: its CE is exactly 0."""
+    if np.any((excl_mask == 0.0).sum(axis=1) <= 1):
+        warnings.warn("row candidate set collapsed to the target alone (loss 0)")
 
 
 def inbatch_ce(scores, target_cols, excl_mask=None):
     """Row-summed softmax CE over {target} union (candidates minus exclusions)."""
     target_cols = np.asarray(target_cols, dtype=np.int64)
-    masked = nm.add(scores, Tensor(excl_mask)) if excl_mask is not None else scores
+    masked = scores
     if excl_mask is not None:
-        visible = (excl_mask == 0.0).sum(axis=1)
-        if np.any(visible <= 1):
-            warnings.warn("row candidate set collapsed to the target alone (loss 0)")
+        _warn_if_collapsed(excl_mask)
+        masked = nm.add(scores, Tensor(excl_mask))
     lse = nm.logsumexp(masked, axis=1)
     tgt = nm.take_steps(masked, target_cols)
     return nm.tsum(nm.sub(lse, tgt))
 
 
-def collaborative_ce(branch_logits, target_cols, excl_mask=None):
-    """Independent in-batch CE per branch (already-masked logits pass through)."""
-    return {
-        m: inbatch_ce(z, target_cols, excl_mask) for m, z in branch_logits.items()
-    }
+def collaborative_ce(branch_logits, target_cols):
+    """Independent in-batch CE per branch over already-masked logits."""
+    return {m: inbatch_ce(z, target_cols) for m, z in branch_logits.items()}
 
 
-def ensemble_logits(branch_logits, detached=False):
+def ensemble_logits(branch_logits):
     """Arithmetic mean of the branch score matrices."""
     zs = list(branch_logits.values())
-    if detached:
-        zs = [z.detach() for z in zs]
     return nm.mul(_sum(zs), 1.0 / len(zs))
 
 
@@ -117,9 +119,9 @@ def distill_bundle(branch_logits, temperature):
             for m, z in branch_logits.items()
             if m != "id"
         }
-        out["id"] = distill_kl(ensemble_logits(branch_logits, detached=True), z_id, temperature)
+        out["id"] = distill_kl(ensemble_logits(branch_logits), z_id, temperature)
         return out
-    teacher = ensemble_logits(branch_logits, detached=True)
+    teacher = ensemble_logits(branch_logits)
     return {m: distill_kl(teacher, z, temperature) for m, z in branch_logits.items()}
 
 

@@ -29,6 +29,7 @@ import numpy as np
 # underflows to exactly 0.0 in float64, but still finite so the NaN/Inf
 # guards stay meaningful.
 MASKED = -1.0e30
+LN_EPS = 1e-5  # layer_norm's variance floor
 
 _grad_enabled = True
 
@@ -431,12 +432,12 @@ def linear(x, W, b):
     return _make(out_data, (x, W, b), bwd)
 
 
-def layer_norm(x, gamma, beta, eps=1e-5):
+def layer_norm(x, gamma, beta):
     """Normalization over the last axis with a learnable per-feature scale
     and shift (gamma and beta of shape (d,)).
 
     One node with the arithmetic of the chain mu = mean(x), xc = x - mu,
-    var = mean(xc * xc), inv = (var + eps) ** -0.5, out = xc * inv * gamma
+    var = mean(xc * xc), inv = (var + LN_EPS) ** -0.5, out = xc * inv * gamma
     + beta. Its backward replays that chain's node order, so x gets its two
     contributions (through xc, then through mu) as two `_accum` calls.
     """
@@ -448,7 +449,7 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     var = (xc * xc).mean(axis=-1, keepdims=True)
     # xc * xc can overflow while out stays finite (inv becomes 0).
     _check_finite(var)
-    ve = var + eps
+    ve = var + LN_EPS
     inv = np.power(ve, p)
     xhat = xc * inv
     out_data = xhat * gamma.data
@@ -639,20 +640,18 @@ def gru_layer(x, lengths, Wxr, Whr, br, Wxz, Whz, bz, Wxn, Whn, bn):
 class Adam:
     """Adam with bias correction; the project's single optimizer."""
 
-    def __init__(self, params, lr, betas=(0.9, 0.999), eps=1e-8):
+    def __init__(self, params, lr):
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = 0.9, 0.999
         for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
             _check_finite(g, f"gradient of {p.name}")
@@ -662,7 +661,7 @@ class Adam:
             v += (1 - b2) * g * g
             m_hat = m / (1 - b1 ** self.t)
             v_hat = v / (1 - b2 ** self.t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + 1e-8)
 
     def zero_grad(self):
         for p in self.params:

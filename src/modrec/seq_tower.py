@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import numerics as nm
-from .blocks import TransformerStack, xavier
+from .blocks import Module, TransformerStack, xavier
 from .numerics import MASKED, Parameter
 
 BACKBONES = ("self_attention", "recurrent")
@@ -22,7 +22,7 @@ def causal_mask(length):
     return np.triu(mask, k=1)
 
 
-class SelfAttentionSeqTower:
+class SelfAttentionSeqTower(Module):
     def __init__(self, rng, d, max_len, layers=2, heads=2, name="seq"):
         self.max_len = max_len
         self.pos = Parameter(0.1 * rng.normal(size=(max_len, d)), f"{name}.pos")
@@ -40,11 +40,8 @@ class SelfAttentionSeqTower:
         x = self.encoder(x, mask=causal_mask(t), drop=drop, rng=rng)
         return nm.take_steps(x, lengths - 1)
 
-    def params(self):
-        return [self.pos] + self.encoder.params()
 
-
-class GruSeqTower:
+class GruSeqTower(Module):
     def __init__(self, rng, d, max_len, layers=1, name="seq"):
         self.max_len = max_len
         self.cells = []
@@ -66,9 +63,6 @@ class GruSeqTower:
         for cell in self.cells:
             x = nm.gru_layer(x, lengths, **cell)
         return nm.take_steps(x, lengths - 1)
-
-    def params(self):
-        return [p for cell in self.cells for p in cell.values()]
 
 
 def build_seq_tower(cfg_model, rng, branch, max_len):

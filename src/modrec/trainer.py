@@ -3,6 +3,7 @@ ablation matrix."""
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -11,18 +12,24 @@ import numpy as np
 
 from . import losses as ls
 from . import numerics as nm
+from .blocks import Module
 from .config import ExperimentConfig, with_overrides
 from .datagen import make_batches
 from .item_tower import build_item_tower
 from .numerics import Adam, Tensor, no_grad
 from .seq_tower import build_seq_tower
 
+EVAL_CHUNK = 256  # users encoded and ranked per evaluate() block
+EMBED_CHUNK = 512  # items per item-tower call when embedding the whole catalog
+LOSS_COLUMNS = ("step", "epoch", "ce_v", "ce_t", "ce_id", "ce_ensemble", "ce_fused",
+                "kl_v", "kl_t", "kl_id", "ramp_w", "total", "ce_row_mean", "kl_row_mean")
+
 
 # -- model container -----------------------------------------------------------
 
 
 @dataclass
-class Model:
+class Model(Module):
     item_tower: object
     seq_towers: dict  # branch (or "fused") -> sequence tower
     branches: tuple  # item tower branches the model uses
@@ -35,12 +42,6 @@ class Model:
         if "fused" in self.seq_towers:
             embs["fused"] = ls.ensemble_logits({b: embs[b] for b in self.branches})
         return embs
-
-    def params(self):
-        out = list(self.item_tower.params())
-        for tower in self.seq_towers.values():
-            out.extend(tower.params())
-        return out
 
     def state(self):
         return {p.name: p.data.copy() for p in self.params()}
@@ -64,12 +65,11 @@ def build_model(cfg, catalog):
     seq_towers = {
         key: build_seq_tower(cfg.model, init_rng, key, cfg.data.max_len) for key in seq_keys
     }
-    names = [p.name for p in item_tower.params()]
-    for tower in seq_towers.values():
-        names.extend(p.name for p in tower.params())
+    model = Model(item_tower, seq_towers, branches, cfg)
+    names = [p.name for p in model.params()]
     if len(names) != len(set(names)):
         raise ValueError("parameter names must be unique across towers")
-    return Model(item_tower, seq_towers, branches, cfg)
+    return model
 
 
 # -- batching helpers ------------------------------------------------------------
@@ -186,19 +186,18 @@ def popularity_groups(pop, n_groups):
     return groups
 
 
-def _all_item_embeddings(model, n_items, chunk=512):
+def _all_item_embeddings(model, n_items):
     """Catalog-wide item embeddings for each sequence tower's key."""
     out = {key: [] for key in model.seq_towers}
     with no_grad():
-        for start in range(0, n_items, chunk):
-            embs = model.item_embeddings(np.arange(start, min(start + chunk, n_items)))
+        for start in range(0, n_items, EMBED_CHUNK):
+            embs = model.item_embeddings(np.arange(start, min(start + EMBED_CHUNK, n_items)))
             for key, parts in out.items():
                 parts.append(embs[key].data)
     return {key: np.concatenate(parts, axis=0) for key, parts in out.items()}
 
 
-def evaluate(model, catalog, dataset, split="test", ks=(10, 20), n_groups=8,
-             user_limit=0, chunk=256):
+def evaluate(model, catalog, dataset, split="test", ks=(10, 20), n_groups=8, user_limit=0):
     """Full-catalog ranking metrics per branch and for the ensemble.
 
     split="val": input = train prefix, target = val item.
@@ -223,8 +222,8 @@ def evaluate(model, catalog, dataset, split="test", ks=(10, 20), n_groups=8,
     report_keys = score_keys + (["ensemble"] if len(score_keys) > 1 else [])
     ranks = {key: np.zeros(len(users), dtype=np.int64) for key in report_keys}
 
-    for start in range(0, len(users), chunk):
-        idx_mat, lengths = _pad_rows(rows[start : start + chunk])
+    for start in range(0, len(users), EVAL_CHUNK):
+        idx_mat, lengths = _pad_rows(rows[start : start + EVAL_CHUNK])
         branch_scores = {}
         with no_grad():
             for key, tower in model.seq_towers.items():
@@ -240,7 +239,7 @@ def evaluate(model, catalog, dataset, split="test", ks=(10, 20), n_groups=8,
             for i, score_row in enumerate(scores, start):
                 ranks[key][i] = rank_full_catalog(score_row, excludes[i], targets[i])
 
-    return _metrics_report(ranks, target_groups, ks, n_groups, report_keys)
+    return _metrics_report(ranks, target_groups, ks, n_groups)
 
 
 def _metrics_for_ranks(ranks, ks):
@@ -253,9 +252,9 @@ def _metrics_for_ranks(ranks, ks):
     return out
 
 
-def _metrics_report(ranks, target_groups, ks, n_groups, report_keys):
+def _metrics_report(ranks, target_groups, ks, n_groups):
     report = {
-        "branches": {key: _metrics_for_ranks(ranks[key], ks) for key in report_keys},
+        "branches": {key: _metrics_for_ranks(r, ks) for key, r in ranks.items()},
         "n_users": int(next(iter(ranks.values())).size),
     }
     if n_groups:
@@ -265,7 +264,7 @@ def _metrics_report(ranks, target_groups, ks, n_groups, report_keys):
             groups[str(g)] = {
                 "user_count": int(sel.sum()),
                 "branches": {
-                    key: _metrics_for_ranks(ranks[key][sel], ks) for key in report_keys
+                    key: _metrics_for_ranks(r[sel], ks) for key, r in ranks.items()
                 },
             }
         report["groups"] = groups
@@ -316,13 +315,10 @@ def train(cfg, catalog, dataset, progress=None):
                 ) from e
             optimizer.step()
             optimizer.zero_grad()
-            row = {"step": step, "epoch": epoch, "ramp_w": report.ramp_w,
-                   "total": report.total, "ce_row_mean": report.ce_row_mean,
-                   "kl_row_mean": report.kl_row_mean}
-            for m in ("v", "t", "id", "ensemble", "fused"):
-                row[f"ce_{m}"] = report.ce.get(m, 0.0)
-                row[f"kl_{m}"] = report.kl.get(m, 0.0)
-            result.loss_log.append(row)
+            values = {"step": step, "epoch": epoch, **vars(report)}
+            values.update((f"ce_{m}", v) for m, v in report.ce.items())
+            values.update((f"kl_{m}", v) for m, v in report.kl.items())
+            result.loss_log.append({col: values.get(col, 0.0) for col in LOSS_COLUMNS})
             step += 1
         val = evaluate(
             model, catalog, dataset, split="val", ks=cfg.eval.ks,
@@ -413,20 +409,14 @@ def write_metrics_json(path, report):
 
 
 def write_loss_csv(path, loss_log):
-    import csv
-
-    cols = ["step", "epoch", "ce_v", "ce_t", "ce_id", "ce_ensemble", "ce_fused",
-            "kl_v", "kl_t", "kl_id", "ramp_w", "total", "ce_row_mean", "kl_row_mean"]
     with open(path, "w", newline="") as f:
-        w = csv.DictWriter(f, fieldnames=cols, extrasaction="ignore")
+        w = csv.DictWriter(f, fieldnames=LOSS_COLUMNS)
         w.writeheader()
         for row in loss_log:
             w.writerow(row)
 
 
 def write_popularity_csv(path, report, ks):
-    import csv
-
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         header = ["group", "user_count", "branch"]

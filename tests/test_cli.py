@@ -76,6 +76,13 @@ def test_losscurve_columns(out_root):
         assert col in header.split(",")
 
 
+def test_train_with_zero_epochs_says_so_and_exits_0(out_root, capsys):
+    run_dir = out_root / "run0"
+    assert main(["train", "--out", str(run_dir), *TINY, "--set", "train.epochs=0"]) == 0
+    assert "no epoch ran" in capsys.readouterr().out
+    assert json.loads((run_dir / "metrics.json").read_text()) == {}
+
+
 def test_unknown_config_key_fails_with_guidance(capsys):
     assert main(["train", "--dry-run", "--set", "model.width=4"]) == 1
     err = capsys.readouterr().err

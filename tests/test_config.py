@@ -1,6 +1,6 @@
 import pytest
 
-from modrec.config import ExperimentConfig, apply_setting, load_config
+from modrec.config import RULES, ExperimentConfig, apply_setting, load_config
 
 
 def test_defaults_are_valid():
@@ -27,7 +27,7 @@ def test_validate_rejects_bad_values():
         cfg.validate()
 
 
-@pytest.mark.parametrize("key, value", [
+BAD_SETTINGS = [
     ("model.gru_layers", 0),
     ("model.d", 0),
     ("model.heads", 3),
@@ -50,12 +50,23 @@ def test_validate_rejects_bad_values():
     ("model.id_init", "zeros"),
     ("distill.alpha", 0.5),
     ("eval.val_users", -1),
-])
+    ("model.branches", "v,x"),
+    ("model.branches", "v,v"),
+    ("model.fst", "cnn"),
+    ("train.fusion", "middle"),
+]
+
+
+@pytest.mark.parametrize("key, value", BAD_SETTINGS)
 def test_validate_rejects_bad_model_sizes(key, value):
     cfg = ExperimentConfig()
     apply_setting(cfg, key, value)
     with pytest.raises(ValueError, match=key):
         cfg.validate()
+
+
+def test_every_rule_has_a_rejecting_case():
+    assert {key for key, _, _ in RULES} <= {key for key, _ in BAD_SETTINGS}
 
 
 def test_validate_keeps_boundary_values():

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from modrec import datagen
+from modrec.config import DataCfg
 from modrec.datagen import (
     Catalog,
     generate_synthetic,
@@ -57,6 +60,17 @@ def test_generator_determinism():
     np.testing.assert_array_equal(a[0].visual, b[0].visual)
     np.testing.assert_array_equal(a[0].textual, b[0].textual)
     assert a[1].sequences == b[1].sequences
+
+
+def test_generator_takes_the_data_config_fields():
+    fields = dataclasses.asdict(DataCfg(n_items=40, n_users=12, n_clusters=4, max_len=8))
+    fields.pop("source")
+    catalog, ds = generate_synthetic(seed=2, **fields)
+    assert catalog.n_items == 40 and ds.n_users == 12
+    assert max(len(seq) for seq in ds.sequences) == 8
+    for bad in ({"source": "synthetic"}, {"min_len": 3}):
+        with pytest.raises(TypeError):
+            generate_synthetic(**bad)
 
 
 def test_generator_rejects_bad_sizes():
@@ -175,6 +189,16 @@ def test_loader_rejects_item_ids_outside_the_catalog(tmp_path, bad_id):
     save_catalog(tmp_path, catalog, sequences)
     with pytest.raises(ValueError, match="interactions.csv"):
         load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_loader_rejects_non_finite_features(tmp_path, bad):
+    catalog, ds = generate_synthetic(n_items=10, n_users=20, n_clusters=2, seed=4,
+                                     n_v=2, n_t=2, d_v=4, d_t=4)
+    catalog.textual[3, 1, 2] = bad
+    save_catalog(tmp_path, catalog, ds.sequences)
+    with pytest.raises(ValueError, match="textual.f64"):
+        load_features(tmp_path)
 
 
 def test_loader_missing_files(tmp_path):

@@ -178,7 +178,7 @@ def test_bundle_id_teaches_modalities_and_ensemble_teaches_id():
     assert set(out) == {"v", "t", "id"}
     for m in ("v", "t"):
         assert out[m].item() == distill_kl(logits["id"], logits[m], 0.5).item()
-    ens = ensemble_logits(logits, detached=True)
+    ens = ensemble_logits(logits)
     assert out["id"].item() == distill_kl(ens, logits["id"], 0.5).item()
 
 
@@ -193,7 +193,7 @@ def test_bundle_without_id_uses_ensemble_teacher():
     rng = np.random.default_rng(9)
     logits = {"v": T(rng.normal(size=(2, 5))), "t": T(rng.normal(size=(2, 5)))}
     out = distill_bundle(logits, 0.5)
-    ens = ensemble_logits(logits, detached=True)
+    ens = ensemble_logits(logits)
     for m in ("v", "t"):
         assert out[m].item() == distill_kl(ens, logits[m], 0.5).item()
 

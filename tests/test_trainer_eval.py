@@ -131,6 +131,50 @@ def test_seq_towers_take_max_len_from_data(tiny_data):
         assert {tower.max_len for tower in model.seq_towers.values()} == {20}
 
 
+def _linear(name):
+    return [f"{name}.W", f"{name}.b"]
+
+
+def _stack(name, depth):
+    out = []
+    for i in range(depth):
+        layer = f"{name}.layer{i}"
+        for lin in ("wq", "wk", "wv", "wo", "ff1", "ff2"):
+            out += _linear(f"{layer}.{lin}")
+        out += [f"{layer}.ln1.g", f"{layer}.ln1.b", f"{layer}.ln2.g", f"{layer}.ln2.b"]
+    return out
+
+
+def _head(name):
+    return _linear(f"{name}.l1") + _linear(f"{name}.l2")
+
+
+def _gru(name):
+    return [f"{name}.gru0.{w}{g}" for g in "rzn" for w in ("Wx", "Wh", "b")]
+
+
+@pytest.mark.parametrize("overrides", [{}, {"model__backbone": "recurrent"},
+                                       {"model__branches": "id"}])
+def test_parameter_order_is_the_checkpoint_order(tiny_data, overrides):
+    # Adam's state and the checkpoint keys follow this order; it must not move.
+    catalog, _ = tiny_data
+    model = build_model(tiny_cfg(**overrides), catalog)
+    branches = model.cfg.model.branch_list
+    if branches == ("id",):
+        expected = ["item.id_table"]
+    else:
+        expected = (_linear("item.proj_v") + _linear("item.proj_t") + _stack("item.fused", 1)
+                    + _head("item.head_v") + _head("item.head_t")
+                    + ["id_table"] + _linear("item.proj_id") + _head("item.head_id"))
+    for b in branches:
+        if model.cfg.model.backbone == "recurrent":
+            expected += _gru(f"seq_{b}")
+        else:
+            expected += [f"seq_{b}.pos"] + _stack(f"seq_{b}.sa", 1)
+    assert [p.name for p in model.params()] == expected
+    assert list(model.state()) == expected
+
+
 def test_state_roundtrip_and_mismatch_errors(tiny_data):
     catalog, _ = tiny_data
     model = build_model(tiny_cfg(), catalog)
@@ -313,6 +357,13 @@ def test_train_zero_epochs_yields_no_metrics(tiny_data):
     catalog, dataset = tiny_data
     result = train(tiny_cfg(train__epochs=0), catalog, dataset)
     assert result.loss_log == [] and result.test_metrics == {}
+
+
+def test_a_one_row_batch_warns_that_its_loss_is_zero(tiny_data):
+    catalog, dataset = tiny_data
+    assert dataset.n_users % 53 == 1  # the last batch holds a single row
+    with pytest.warns(UserWarning, match="collapsed"):
+        train(tiny_cfg(train__batch_size=53), catalog, dataset)
 
 
 def test_train_is_deterministic(tiny_data):
