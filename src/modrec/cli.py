@@ -47,8 +47,8 @@ def _resolve_data(cfg):
     return datagen.load_dataset(source, max_len=cfg.data.max_len)
 
 
-def _progress(epoch, recall10, last_total):
-    print(f"epoch {epoch}: val recall@10 {recall10:.4f}, last loss {last_total:.4f}")
+def _progress(epoch, metric, value, last_total):
+    print(f"epoch {epoch}: val {metric} {value:.4f}, last loss {last_total:.4f}")
 
 
 def cmd_gen(args):

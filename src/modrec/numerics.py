@@ -14,11 +14,19 @@ for bit, except for the sign of some zeros: `relu` (`np.maximum`) returns
 +0.0 where the chain returned -0.0, and `_accum` keeps a -0.0 gradient
 entry where the chain's `0.0 + g` gave +0.0. Zeros of either sign compare
 equal, and metrics, losses and trained parameters stay byte-identical.
-A fused op still raises `NonFiniteError` wherever the chain did:
-its output is checked like every Tensor, and so is each intermediate whose
+
+Every Tensor is checked for NaN/Inf when built, except the outputs of
+`reshape`, `permute`, `concat`, `take_rows`, `take_steps` and `relu`, which
+only rearrange, select or clamp checked values; so `NonFiniteError` fires at
+the op that made the value. A fused op also checks each intermediate whose
 non-finite value the rest of the op would absorb (`var` in `layer_norm`;
-the scaled, masked scores in `masked_attention`, where softmax would turn
-a -inf into 0; each gate's pre-activation in `gru_layer`).
+the scaled, masked scores in `masked_attention`, where softmax would turn a
+-inf into 0; each gate's pre-activation in `gru_layer`).
+
+In the backward pass a 2-D weight's gradient is one GEMM over all rows,
+`x.reshape(-1, d_in).T @ g.reshape(-1, d_out)`, in `linear` and `matmul`
+alike. A fresh gradient that its producer gives to no other node becomes
+its parent's gradient as it is (`_accum`); any other first one is copied.
 """
 
 from __future__ import annotations
@@ -62,10 +70,12 @@ class Tensor:
     """Immutable dense float64 array node in the computation graph."""
 
     __slots__ = ("data", "grad", "_parents", "_backward", "requires_grad")
+    _check = True  # off only in _Rearranged
 
     def __init__(self, data, parents=(), backward=None, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
-        _check_finite(self.data)
+        if self._check:
+            _check_finite(self.data)
         self.grad = None
         self._parents = parents
         self._backward = backward
@@ -132,6 +142,14 @@ class Parameter(Tensor):
         return f"Parameter({self.name!r}, shape={self.data.shape})"
 
 
+class _Rearranged(Tensor):
+    """Output of an op that only rearranges, selects or clamps values of
+    Tensors that were checked when they were built: nothing new to check."""
+
+    __slots__ = ()
+    _check = False
+
+
 # -- op plumbing -------------------------------------------------------------
 
 
@@ -139,21 +157,25 @@ def _wrap(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _make(data, parents, backward):
+def _make(data, parents, backward, cls=Tensor):
     if _grad_enabled and any(p.requires_grad for p in parents):
-        return Tensor(data, parents=parents, backward=backward, requires_grad=True)
-    return Tensor(data)
+        return cls(data, parents=parents, backward=backward, requires_grad=True)
+    return cls(data)
 
 
-def _accum(t, g):
+def _accum(t, g, fresh=False):
+    """Add g to t's gradient; `fresh`: g is new and handed to no other node."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        # A copy, never g itself: one g may be handed to several parents.
-        # empty_like gives the gradient t.data's memory layout whatever g's
-        # is, and the layout fixes the order in which reductions sum it.
-        t.grad = np.empty_like(t.data)
-        np.copyto(t.grad, g)
+        # The gradient gets t.data's memory layout whatever g's is, and the
+        # layout fixes the order in which reductions sum it. A fresh g with
+        # that layout is taken as it is; any other g is copied.
+        if fresh and g.flags.c_contiguous and t.data.flags.c_contiguous:
+            t.grad = g
+        else:
+            t.grad = np.empty_like(t.data)
+            np.copyto(t.grad, g)
     else:
         t.grad += g
 
@@ -249,9 +271,9 @@ def relu(a):
     pos = a.data > 0
 
     def bwd(g):
-        _accum(a, g * pos)
+        _accum(a, g * pos, fresh=True)
 
-    return _make(np.maximum(a.data, 0.0), (a,), bwd)
+    return _make(np.maximum(a.data, 0.0), (a,), bwd, _Rearranged)
 
 
 # -- shape / indexing primitives -----------------------------------------------
@@ -263,7 +285,7 @@ def reshape(a, shape):
     def bwd(g):
         _accum(a, g.reshape(a.data.shape))
 
-    return _make(a.data.reshape(shape), (a,), bwd)
+    return _make(a.data.reshape(shape), (a,), bwd, _Rearranged)
 
 
 def permute(a, axes):
@@ -273,7 +295,7 @@ def permute(a, axes):
     def bwd(g):
         _accum(a, g.transpose(inv))
 
-    return _make(a.data.transpose(axes), (a,), bwd)
+    return _make(a.data.transpose(axes), (a,), bwd, _Rearranged)
 
 
 def transpose_last(a):
@@ -292,7 +314,8 @@ def concat(parts, axis=0):
         for p, gp in zip(parts, np.split(g, splits, axis=axis)):
             _accum(p, gp)
 
-    return _make(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), bwd)
+    out_data = np.concatenate([p.data for p in parts], axis=axis)
+    return _make(out_data, tuple(parts), bwd, _Rearranged)
 
 
 def take_rows(a, idx):
@@ -307,7 +330,7 @@ def take_rows(a, idx):
         np.add.at(ga, idx.reshape(-1), g.reshape((-1,) + a.data.shape[1:]))
         _accum(a, ga)
 
-    return _make(a.data[idx], (a,), bwd)
+    return _make(a.data[idx], (a,), bwd, _Rearranged)
 
 
 def take_steps(a, idx):
@@ -323,7 +346,7 @@ def take_steps(a, idx):
         np.add.at(ga, (rows, idx), g)
         _accum(a, ga)
 
-    return _make(a.data[rows, idx], (a,), bwd)
+    return _make(a.data[rows, idx], (a,), bwd, _Rearranged)
 
 
 # -- reductions -----------------------------------------------------------------
@@ -404,10 +427,17 @@ def matmul(a, b):
             ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
             _accum(a, _unbroadcast(ga, a.data.shape))
         if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            _accum(b, _unbroadcast(gb, b.data.shape))
+            _accum(b, _weight_grad(a.data, b.data, g))
 
     return _make(np.matmul(a.data, b.data), (a, b), bwd)
+
+
+def _weight_grad(x, W, g):
+    """The gradient of W in x @ W, given g, the gradient of the product. A
+    2-D W gets one GEMM over all rows of x, not one per batch entry."""
+    if W.ndim == 2:
+        return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+    return _unbroadcast(np.matmul(np.swapaxes(x, -1, -2), g), W.shape)
 
 
 def linear(x, W, b):
@@ -423,10 +453,9 @@ def linear(x, W, b):
             _accum(b, _unbroadcast(g, b.data.shape))
         if x.requires_grad:
             gx = np.matmul(g, np.swapaxes(W.data, -1, -2))
-            _accum(x, _unbroadcast(gx, x.data.shape))
+            _accum(x, _unbroadcast(gx, x.data.shape), fresh=True)
         if W.requires_grad:
-            gw = np.matmul(np.swapaxes(x.data, -1, -2), g)
-            _accum(W, _unbroadcast(gw, W.data.shape))
+            _accum(W, _weight_grad(x.data, W.data, g))
 
     # Parent order makes the graph walk visit b, W, x as it did the chain.
     return _make(out_data, (x, W, b), bwd)
@@ -469,7 +498,7 @@ def layer_norm(x, gamma, beta):
         g_sq_xc = np.broadcast_to(g_var / n, xc.shape) * xc
         g_xc += g_sq_xc  # xc * xc feeds xc twice
         g_xc += g_sq_xc
-        _accum(x, g_xc)
+        _accum(x, g_xc, fresh=True)  # may now be x.grad: read once more, then added to
         g_mu = _unbroadcast(-g_xc, mu.shape)
         _accum(x, np.broadcast_to(g_mu / n, x.data.shape))
 
@@ -507,7 +536,7 @@ def masked_attention(q, k, v, mask, scale):
     def bwd(g):
         if v.requires_grad:
             gv = np.matmul(np.swapaxes(probs, -1, -2), g)
-            _accum(v, _unbroadcast(gv, v.data.shape))
+            _accum(v, _unbroadcast(gv, v.data.shape), fresh=True)
         if not (q.requires_grad or k.requires_grad):
             return
         g_probs = np.matmul(g, np.swapaxes(v.data, -1, -2))
@@ -516,7 +545,7 @@ def masked_attention(q, k, v, mask, scale):
         g_scores *= scale
         if q.requires_grad:
             gq = np.matmul(g_scores, np.swapaxes(kt, -1, -2))
-            _accum(q, _unbroadcast(gq, q.data.shape))
+            _accum(q, _unbroadcast(gq, q.data.shape), fresh=True)
         if k.requires_grad:
             gkt = np.matmul(np.swapaxes(q.data, -1, -2), g_scores)
             _accum(k, np.swapaxes(_unbroadcast(gkt, kt.shape), -1, -2))
@@ -538,7 +567,7 @@ def dropout(x, p, rng):
     keep = (rng.random(x.data.shape) >= p) / (1.0 - p)
 
     def bwd(g):
-        _accum(x, g * keep)
+        _accum(x, g * keep, fresh=True)
 
     return _make(x.data * keep, (x,), bwd)
 

@@ -52,6 +52,8 @@ class Model(Module):
                 raise KeyError(f"checkpoint missing parameter {p.name}")
             if state[p.name].shape != p.data.shape:
                 raise ValueError(f"shape mismatch for {p.name}")
+            if not np.isfinite(state[p.name]).all():
+                raise ValueError(f"non-finite values in parameter {p.name}")
             p.data = state[p.name].copy()
 
 
@@ -296,6 +298,7 @@ def train(cfg, catalog, dataset, progress=None):
     result = TrainResult(model=model)
     best_state = model.state()
     sel_key = ensemble_key(model)
+    sel_metric = f"recall@{10 if 10 in cfg.eval.ks else cfg.eval.ks[0]}"
     stale = 0
     step = 0
     for epoch in range(cfg.train.epochs):
@@ -324,14 +327,12 @@ def train(cfg, catalog, dataset, progress=None):
             model, catalog, dataset, split="val", ks=cfg.eval.ks,
             n_groups=0, user_limit=cfg.eval.val_users,
         )
-        recall10 = val["branches"][sel_key].get("recall@10")
-        if recall10 is None:
-            recall10 = val["branches"][sel_key][f"recall@{cfg.eval.ks[0]}"]
-        result.val_history.append({"epoch": epoch, "recall@10": recall10})
+        recall = val["branches"][sel_key][sel_metric]
+        result.val_history.append({"epoch": epoch, sel_metric: recall})
         if progress:
-            progress(epoch, recall10, result.loss_log[-1]["total"])
-        if recall10 > result.best_val_recall:
-            result.best_val_recall = recall10
+            progress(epoch, sel_metric, recall, result.loss_log[-1]["total"])
+        if recall > result.best_val_recall:
+            result.best_val_recall = recall
             result.best_epoch = epoch
             best_state = model.state()
             stale = 0

@@ -2,6 +2,7 @@ import json
 import os
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from modrec import trainer
@@ -66,6 +67,33 @@ def test_train_then_eval_roundtrip(out_root, capsys):
     ]) == 0
     again = json.loads((eval_dir / "metrics.json").read_text())
     assert again == metrics  # same checkpoint, same split, same report
+
+
+def test_train_names_the_selection_metric_it_used(out_root, capsys, monkeypatch):
+    results = []
+    real_train = trainer.train
+
+    def recording_train(*args, **kwargs):
+        results.append(real_train(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(trainer, "train", recording_train)
+    assert main(["train", "--out", str(out_root / "k5"), *TINY, "--set", "eval.ks=[5]"]) == 0
+    assert "epoch 0: val recall@5 " in capsys.readouterr().out
+    assert list(results[0].val_history[0]) == ["epoch", "recall@5"]
+
+
+def test_eval_names_a_non_finite_checkpoint_parameter(out_root, capsys):
+    run_dir = out_root / "run_nan"
+    assert main(["train", "--out", str(run_dir), *TINY]) == 0
+    with np.load(run_dir / "checkpoint.npz") as f:
+        state = dict(f)
+    state["item.proj_v.W"][0, 0] = np.nan
+    np.savez(out_root / "nan.npz", **state)
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(out_root / "nan.npz"), *TINY]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "item.proj_v.W" in err
 
 
 def test_losscurve_columns(out_root):

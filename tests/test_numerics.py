@@ -408,6 +408,32 @@ def test_fused_ops_raise_non_finite_like_the_chains(case, grad):
                 op(*args)
 
 
+# Ops that compute new values check their output. Each case overflows to inf.
+BIG = np.full((2, 2), 1e308)
+OVERFLOW_CASES = {
+    "add": (nm.add, [BIG, BIG]),
+    "sub": (nm.sub, [BIG, -BIG]),
+    "mul": (nm.mul, [BIG, BIG]),
+    "matmul": (nm.matmul, [BIG, BIG]),
+    "linear": (nm.linear, [BIG, BIG, np.zeros(2)]),
+    "tsum": (nm.tsum, [BIG]),
+    "tmean": (nm.tmean, [BIG]),
+    "powc": (lambda a: nm.powc(a, 2.0), [BIG]),
+    # keep is 0 or 2, and rng 0 keeps some of the 4 entries
+    "dropout": (lambda a: nm.dropout(a, 0.5, np.random.default_rng(0)), [BIG]),
+}
+
+
+@pytest.mark.parametrize("grad", [True, False], ids=["grad", "no_grad"])
+@pytest.mark.parametrize("case", sorted(OVERFLOW_CASES))
+def test_arithmetic_ops_raise_non_finite_on_overflow(case, grad):
+    op, args = OVERFLOW_CASES[case]
+    args = [Parameter(a, "in") if grad else Tensor(a) for a in args]
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteError):
+        with contextlib.nullcontext() if grad else nm.no_grad():
+            op(*args)
+
+
 @pytest.mark.parametrize("gate", GRU_GATES)
 def test_gru_layer_error_names_the_gate(gate):
     args = _gru_args([[[1e200, 1e200], [1.0, 1.0]]], overflow=gate)
@@ -430,6 +456,32 @@ def test_first_touch_gradients_do_not_alias():
     g = np.random.default_rng(1).normal(size=(2, 3))
     nm.tsum(nm.mul(nm.add(x, x), Tensor(g))).backward()
     np.testing.assert_array_equal(x.grad, 2 * g)
+
+
+def test_transformer_layer_gradients_share_no_memory():
+    # dropout, relu, layer_norm, attention and linear hand fresh gradients over
+    rng = np.random.default_rng(3)
+    layer = TransformerLayer(rng, 8, 2, "layer")
+    x = _leaf(rng.normal(size=(4, 5, 8)))
+    out = layer(x, mask=_causal(5), drop=0.2, rng=np.random.default_rng(6))
+    nm.tsum(nm.mul(out, Tensor(rng.normal(size=out.shape)))).backward()
+    grads = [x.grad] + [p.grad for p in layer.params()]
+    for i, a in enumerate(grads):
+        for b in grads[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize("op", ["linear", "matmul"])
+def test_weight_gradient_matches_a_per_row_reference(op):
+    rng = np.random.default_rng(13)
+    x, g = rng.normal(size=(7, 5, 8)), rng.normal(size=(7, 5, 12))
+    W = _param(rng, (8, 12), "W")
+    out = nm.linear(x, W, np.zeros(12)) if op == "linear" else nm.matmul(x, W)
+    nm.tsum(nm.mul(out, Tensor(g))).backward()
+    reference = np.zeros((8, 12))
+    for x_row, g_row in zip(x.reshape(-1, 8), g.reshape(-1, 12)):
+        reference += np.outer(x_row, g_row)
+    np.testing.assert_allclose(W.grad, reference, rtol=1e-12)
 
 
 # -- graph semantics -------------------------------------------------------------

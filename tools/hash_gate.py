@@ -1,4 +1,4 @@
-"""Byte-identity gate for refactors: train 15 small configs and hash the outputs.
+"""Byte-identity gate for refactors: train 16 small configs and hash the outputs.
 
 Each config runs through `modrec train` at a small fixed scale; the script
 prints the first 12 hex digits of the sha256 of its `metrics.json` and
@@ -8,9 +8,10 @@ same lines before and after:
     python tools/hash_gate.py                     # the sources next to this script
     python tools/hash_gate.py --src OTHER/src     # e.g. a checkout of the parent
 
-The configs are the nine ablation variants plus early fusion (with and
-without the ID branch), late fusion, the dnn item tower, the recurrent
-backbone and the ID-only model. It takes about 20 s on a 2-vCPU VM.
+The configs are the nine ablation variants plus collaborative training
+with distillation off, early fusion (with and without the ID branch), late
+fusion, the dnn item tower, the recurrent backbone and the ID-only model.
+It takes about 20 s on a 2-vCPU VM.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ CONFIGS = {
     "separate_fst_1": ["model.fst=separate", "model.item_layers=1"],
     "no_distill": ["train.fusion=late", "distill.enabled=false"],
     "no_id": ["model.branches=v,t"],
+    "collab_no_distill": ["distill.enabled=false"],
     "early": ["train.fusion=early"],
     "early_vt": ["train.fusion=early", "model.branches=v,t"],
     "late": ["train.fusion=late"],
