@@ -77,27 +77,38 @@ class TransformerLayer(Module):
         self.ln2_g = Parameter(np.ones(d), f"{name}.ln2.g")
         self.ln2_b = Parameter(np.zeros(d), f"{name}.ln2.b")
 
-    def __call__(self, x, mask=None, drop=0.0, rng=None):
-        """x: (N, L, d); mask: additive, broadcastable to (N, heads, L, L)."""
+    def __call__(self, x, mask=None, drop=0.0, rng=None, rows=None):
+        """x: (N, L, d); mask: additive, broadcastable to (N, heads, L, L).
+
+        `rows`, an (N, R) index of the positions the caller reads, makes the
+        layer compute those R output rows only: keys and values still cover
+        all L positions, the (L, L) mask is cut to mask[rows], and the output
+        is (N, R, d). Dropout still draws its mask for all L positions.
+        """
         n, length, d = x.shape
         h, dh = self.heads, self.dh
 
         def split_heads(t):
-            t = nm.reshape(t, (n, length, h, dh))
+            t = nm.reshape(t, (n, -1, h, dh))
             return nm.permute(t, (0, 2, 1, 3))
 
-        q = split_heads(self.wq(x))
+        xq, sel = x, {}
+        if rows is not None:
+            xq, sel = nm.take_steps(x, rows), {"rows": rows, "length": length}
+            if mask is not None:
+                mask = np.asarray(mask)[rows][:, None]
+        q = split_heads(self.wq(xq))
         k = split_heads(self.wk(x))
         v = split_heads(self.wv(x))
         att = nm.masked_attention(q, k, v, mask, 1.0 / np.sqrt(dh))
-        att = nm.reshape(nm.permute(att, (0, 2, 1, 3)), (n, length, d))
+        att = nm.reshape(nm.permute(att, (0, 2, 1, 3)), xq.shape)
         att = self.wo(att)
         if drop > 0.0:
-            att = nm.dropout(att, drop, rng)
-        x = nm.layer_norm(nm.add(x, att), self.ln1_g, self.ln1_b)
+            att = nm.dropout(att, drop, rng, **sel)
+        x = nm.layer_norm(nm.add(xq, att), self.ln1_g, self.ln1_b)
         ff = self.ff2(nm.relu(self.ff1(x)))
         if drop > 0.0:
-            ff = nm.dropout(ff, drop, rng)
+            ff = nm.dropout(ff, drop, rng, **sel)
         return nm.layer_norm(nm.add(x, ff), self.ln2_g, self.ln2_b)
 
 
@@ -107,7 +118,11 @@ class TransformerStack(Module):
             TransformerLayer(rng, d, heads, f"{name}.layer{i}") for i in range(layers)
         ]
 
-    def __call__(self, x, mask=None, drop=0.0, rng=None):
-        for layer in self.layers:
+    def __call__(self, x, mask=None, drop=0.0, rng=None, rows=None):
+        """Only the last layer takes `rows` (see TransformerLayer): the
+        layers before it compute every position, which its keys read."""
+        if not self.layers:
+            return x if rows is None else nm.take_steps(x, rows)
+        for layer in self.layers[:-1]:
             x = layer(x, mask=mask, drop=drop, rng=rng)
-        return x
+        return self.layers[-1](x, mask=mask, drop=drop, rng=rng, rows=rows)

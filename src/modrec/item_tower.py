@@ -117,19 +117,22 @@ class ItemTower(Module):
         else:
             ev = self.proj_v(Tensor(cat.visual[item_idx]))
             et = self.proj_t(Tensor(cat.textual[item_idx]))
+        # Each stack computes only the slots read below, in its last layer.
         if self.fst == "separate":
-            ev = self.encoders[0](ev, drop=drop, rng=rng)
-            et = self.encoders[1](et, drop=drop, rng=rng)
-            v_cls = nm.take_steps(ev, np.full(n, cat.n_v))
-            t_cls = nm.take_steps(et, np.zeros(n, dtype=np.int64))
+            ev = self.encoders[0](ev, drop=drop, rng=rng, rows=np.full((n, 1), cat.n_v))
+            et = self.encoders[1](et, drop=drop, rng=rng, rows=np.zeros((n, 1), np.int64))
+            v_cls = nm.reshape(ev, (n, self.d))
+            t_cls = nm.reshape(et, (n, self.d))
         elif self.fst == "imt":
             # slots: visual 0..n_v (cls last) | ID, if any | text (cls first)
             parts = [ev, et] if eid is None else [ev, nm.reshape(eid, (n, 1, self.d)), et]
-            x = self.encoders[0](nm.concat(parts, axis=1), mask=self.mask, drop=drop, rng=rng)
-            v_cls = nm.take_steps(x, np.full(n, cat.n_v))
-            t_cls = nm.take_steps(x, np.full(n, cat.n_v + len(parts) - 1))
+            slots = [cat.n_v, cat.n_v + len(parts) - 1] + ([] if eid is None else [cat.n_v + 1])
+            x = self.encoders[0](nm.concat(parts, axis=1), mask=self.mask, drop=drop, rng=rng,
+                                 rows=np.tile(slots, (n, 1)))
+            v_cls = nm.take_steps(x, np.zeros(n, np.int64))
+            t_cls = nm.take_steps(x, np.ones(n, np.int64))
             if eid is not None:
-                eid = nm.take_steps(x, np.full(n, cat.n_v + 1))
+                eid = nm.take_steps(x, np.full(n, 2))
         out = {"v": self.head_v(v_cls), "t": self.head_t(t_cls)}
         if eid is not None:
             out["id"] = self.head_id(eid)

@@ -117,7 +117,8 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward is not None:
-                node._backward(node.grad)
+                # an op may hand its g over to a parent; the root keeps its own
+                node._backward(node.grad.copy() if node is self else node.grad)
             if node is not self and node._parents:
                 node.grad = None  # free intermediates; leaves keep theirs
 
@@ -200,7 +201,8 @@ def add(a, b):
     a, b = _wrap(a), _wrap(b)
 
     def bwd(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
+        # g is this node's own gradient, dropped after this call
+        _accum(a, _unbroadcast(g, a.data.shape), fresh=True)
         _accum(b, _unbroadcast(g, b.data.shape))
 
     return _make(a.data + b.data, (a, b), bwd)
@@ -283,7 +285,7 @@ def reshape(a, shape):
     a = _wrap(a)
 
     def bwd(g):
-        _accum(a, g.reshape(a.data.shape))
+        _accum(a, g.reshape(a.data.shape), fresh=True)
 
     return _make(a.data.reshape(shape), (a,), bwd, _Rearranged)
 
@@ -326,18 +328,20 @@ def take_rows(a, idx):
     def bwd(g):
         if not a.requires_grad:
             return
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, idx.reshape(-1), g.reshape((-1,) + a.data.shape[1:]))
-        _accum(a, ga)
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+        np.add.at(a.grad, idx.reshape(-1), g.reshape((-1,) + a.data.shape[1:]))
 
     return _make(a.data[idx], (a,), bwd, _Rearranged)
 
 
 def take_steps(a, idx):
-    """Per-row gather along axis 1: out[i] = a[i, idx[i]]."""
+    """Per-row gather along axis 1: out[i] = a[i, idx[i]]. An (N,) idx takes
+    one step per row; an (N, R) idx takes R steps per row, out[i, r] =
+    a[i, idx[i, r]], as a transformer layer's query rows."""
     a = _wrap(a)
     idx = np.asarray(idx, dtype=np.int64)
-    rows = np.arange(a.data.shape[0])
+    rows = np.arange(a.data.shape[0]).reshape((-1,) + (1,) * (idx.ndim - 1))
 
     def bwd(g):
         if not a.requires_grad:
@@ -554,17 +558,25 @@ def masked_attention(q, k, v, mask, scale):
     return _make(np.matmul(probs, v.data), (q, k, v), bwd)
 
 
-def dropout(x, p, rng):
+def dropout(x, p, rng, rows=None, length=None):
     """Inverted dropout; identity when p == 0.
 
     One node with the arithmetic of mul(x, Tensor(keep)), drawing one
-    rng.random(x.shape) per call.
+    rng.random(x.shape) per call. With `rows`, an (N, R) index, x holds the
+    steps rows of an (N, length, ...) tensor, as take_steps gives them: the
+    draw is still rng.random((N, length, ...)) and x gets those steps of
+    it, so the generator and every kept entry are as without the selection.
     """
     if p <= 0.0:
         return x
     x = _wrap(x)
+    if rows is None:
+        u = rng.random(x.data.shape)
+    else:
+        n = x.data.shape[0]
+        u = rng.random((n, length) + x.data.shape[2:])[np.arange(n)[:, None], rows]
     # At p == 1 every keep entry, so every output entry, is inf or nan.
-    keep = (rng.random(x.data.shape) >= p) / (1.0 - p)
+    keep = (u >= p) / (1.0 - p)
 
     def bwd(g):
         _accum(x, g * keep, fresh=True)

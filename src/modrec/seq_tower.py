@@ -37,8 +37,9 @@ class SelfAttentionSeqTower(Module):
         if np.any(lengths < 1):
             raise ValueError("empty sequence")
         x = nm.add(item_vecs, nm.take_rows(self.pos, np.arange(t)))
-        x = self.encoder(x, mask=causal_mask(t), drop=drop, rng=rng)
-        return nm.take_steps(x, lengths - 1)
+        # the last layer computes only the row read: the last real position
+        x = self.encoder(x, mask=causal_mask(t), drop=drop, rng=rng, rows=(lengths - 1)[:, None])
+        return nm.reshape(x, (b, d))
 
 
 class GruSeqTower(Module):

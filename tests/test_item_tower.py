@@ -186,9 +186,12 @@ def test_separate_tower_draws_dropout_for_visual_then_text():
     idx = np.arange(5)
     out = tower.item_embeddings(idx, drop=0.3, rng=np.random.default_rng(9))
     rng = np.random.default_rng(9)
-    ev = tower.encoders[0](tower.proj_v(nm.Tensor(cat.visual[idx])), drop=0.3, rng=rng)
-    et = tower.encoders[1](tower.proj_t(nm.Tensor(cat.textual[idx])), drop=0.3, rng=rng)
-    v_cls = nm.take_steps(ev, np.full(5, cat.n_v))
+    # each stack computes only its cls row: the visual last, the text first
+    ev = tower.encoders[0](tower.proj_v(nm.Tensor(cat.visual[idx])), drop=0.3, rng=rng,
+                           rows=np.full((5, 1), cat.n_v))
+    et = tower.encoders[1](tower.proj_t(nm.Tensor(cat.textual[idx])), drop=0.3, rng=rng,
+                           rows=np.zeros((5, 1), dtype=np.int64))
+    v_cls = nm.take_steps(ev, np.zeros(5, dtype=np.int64))
     t_cls = nm.take_steps(et, np.zeros(5, dtype=np.int64))
     np.testing.assert_array_equal(out["v"].data, tower.head_v(v_cls).data)
     np.testing.assert_array_equal(out["t"].data, tower.head_t(t_cls).data)

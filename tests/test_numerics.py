@@ -41,6 +41,9 @@ PRIMITIVES = {
     "tsum": lambda a, b: nm.tsum(nm.mul(a, b), axis=1, keepdims=True),
     "take_rows": lambda a, b: nm.take_rows(a, np.array([[0, 2], [4, 2]])),
     "take_steps": lambda a, b: nm.take_steps(nm.reshape(b, (5, 2, 3)), np.array([1, 0, 0, 1, 1])),
+    # R = 2 steps per row, one row reading a step twice
+    "take_steps_rows": lambda a, b: nm.take_steps(
+        nm.reshape(b, (5, 2, 3)), np.array([[1, 0], [0, 0], [1, 1], [0, 1], [1, 0]])),
 }
 
 
@@ -102,12 +105,22 @@ def _fused_gru_layer(rng):
             [x] + weights)
 
 
+def _fused_dropout_rows(rng):
+    # x holds steps rows of a (4, 5, 3) tensor, as a row-selected layer's
+    x = _param(rng, (4, 2, 3), "x")
+    rows = np.array([[4, 0], [2, 2], [1, 3], [0, 4]])
+    w = Tensor(rng.normal(size=(4, 2, 3)))
+    return (lambda: nm.tsum(nm.mul(
+        nm.dropout(x, 0.3, np.random.default_rng(4), rows=rows, length=5), w)), [x])
+
+
 FUSED = {
     "gru_layer": _fused_gru_layer,
     "linear": _fused_linear,
     "layer_norm": _fused_layer_norm,
     "masked_attention": _fused_masked_attention,
     "dropout": _fused_dropout,
+    "dropout_rows": _fused_dropout_rows,
 }
 
 
@@ -139,7 +152,7 @@ def _ops_called(build):
 @pytest.mark.parametrize("name", sorted(FUSED))
 def test_fused_op_gradients_match_finite_differences(name):
     build, params = FUSED[name](np.random.default_rng(13))
-    assert name in _ops_called(build)
+    assert name.removesuffix("_rows") in _ops_called(build)
     finite_difference_check(build, params, max_coords=12)
 
 
@@ -250,6 +263,12 @@ def chain_dropout(x, p, rng):
     return nm.mul(x, Tensor(keep))
 
 
+def chain_dropout_rows(x, p, rng, rows, length):
+    """chain_dropout over the steps `rows` of an (N, length, ...) tensor."""
+    keep = (rng.random((x.shape[0], length) + x.shape[2:]) >= p) / (1.0 - p)
+    return nm.mul(x, Tensor(keep[np.arange(x.shape[0])[:, None], rows]))
+
+
 CHAINS = {
     "gru_layer": unrolled_gru_layer,
     "linear": chain_linear,
@@ -329,6 +348,27 @@ def test_transformer_layer_matches_primitive_chains_exactly(monkeypatch):
     fused = run()
     for name, chain in CHAINS.items():
         monkeypatch.setattr(nm, name, chain)
+    chained = run()
+    for a, b in zip(fused, chained):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_row_selected_transformer_layer_matches_primitive_chains_exactly(monkeypatch):
+    """The same with the layer computing only some rows, one read twice."""
+    rows = np.array([[4, 0], [2, 2], [1, 3], [0, 4]])
+
+    def run():
+        rng = np.random.default_rng(3)
+        layer = TransformerLayer(rng, 8, 2, "layer")
+        x = _leaf(rng.normal(size=(4, 5, 8)))
+        out = layer(x, mask=_causal(5), drop=0.2, rng=np.random.default_rng(6), rows=rows)
+        nm.tsum(nm.mul(out, Tensor(rng.normal(size=out.shape)))).backward()
+        return [out.data, x.grad] + [p.grad for p in layer.params()]
+
+    fused = run()
+    for name, chain in CHAINS.items():
+        monkeypatch.setattr(nm, name, chain)
+    monkeypatch.setattr(nm, "dropout", chain_dropout_rows)
     chained = run()
     for a, b in zip(fused, chained):
         np.testing.assert_array_equal(a, b)
@@ -456,6 +496,18 @@ def test_first_touch_gradients_do_not_alias():
     g = np.random.default_rng(1).normal(size=(2, 3))
     nm.tsum(nm.mul(nm.add(x, x), Tensor(g))).backward()
     np.testing.assert_array_equal(x.grad, 2 * g)
+
+
+@pytest.mark.parametrize("root", ["add", "reshape"])
+def test_backward_root_keeps_its_gradient(root):
+    # add and reshape hand their own gradient to a parent, which here adds a
+    # second contribution to it; the root's gradient must stay ones
+    a = _leaf(np.ones((2, 3)))
+    s = nm.tsum(nm.mul(a, Tensor(np.arange(6.0).reshape(2, 3))))
+    loss = nm.add(s, s) if root == "add" else nm.reshape(nm.add(s, s), (1, 1))
+    loss.backward()
+    np.testing.assert_array_equal(loss.grad, np.ones_like(loss.data))
+    np.testing.assert_array_equal(a.grad, 2 * np.arange(6.0).reshape(2, 3))
 
 
 def test_transformer_layer_gradients_share_no_memory():
