@@ -102,13 +102,9 @@ class TransformerLayer(Module):
         v = split_heads(self.wv(x))
         att = nm.masked_attention(q, k, v, mask, 1.0 / np.sqrt(dh))
         att = nm.reshape(nm.permute(att, (0, 2, 1, 3)), xq.shape)
-        att = self.wo(att)
-        if drop > 0.0:
-            att = nm.dropout(att, drop, rng, **sel)
+        att = nm.dropout(self.wo(att), drop, rng, **sel)
         x = nm.layer_norm(nm.add(xq, att), self.ln1_g, self.ln1_b)
-        ff = self.ff2(nm.relu(self.ff1(x)))
-        if drop > 0.0:
-            ff = nm.dropout(ff, drop, rng, **sel)
+        ff = nm.dropout(self.ff2(nm.relu(self.ff1(x))), drop, rng, **sel)
         return nm.layer_norm(nm.add(x, ff), self.ln2_g, self.ln2_b)
 
 

@@ -123,9 +123,9 @@ def cmd_ablate(args):
     cfg = load_config(args.config, args.set)
     out_dir = args.out or os.path.join(_out_root(), "ablation")
     if args.dry_run:
-        for variant in trainer.ABLATION_VARIANTS:
+        for variant in trainer.ABLATIONS:
             trainer.ablation_config(cfg, variant)
-        print("variants:", ", ".join(trainer.ABLATION_VARIANTS))
+        print("variants:", ", ".join(trainer.ABLATIONS))
         return 0
     started = _timestamp()
     catalog, dataset = _resolve_data(cfg)

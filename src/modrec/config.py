@@ -46,6 +46,15 @@ RULES = (
     ("train.batch_size", lambda v: v >= 2, "at least 2"),
     ("train.epochs", lambda v: v >= 0, "at least 0"),
     ("data.cold_frac", lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+    ("data.max_len", lambda v: v >= 3, "at least 3"),
+    ("model.item_layers", lambda v: v >= 0, "at least 0"),
+    ("model.seq_layers", lambda v: v >= 0, "at least 0"),
+    ("train.patience", lambda v: v >= 1, "at least 1"),
+    ("data.p_intra", lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+    ("data.p_cold_last", lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+    ("data.item_noise", lambda v: v >= 0, "at least 0"),
+    ("data.row_noise", lambda v: v >= 0, "at least 0"),
+    ("data.n_pref", lambda v: v >= 1, "at least 1"),
 )
 
 

@@ -101,10 +101,6 @@ class ItemTower(Module):
             if fst == "imt":
                 self.mask = build_id_isolation_mask(catalog.n_v, catalog.n_t, id_mask)
 
-    @property
-    def branches(self):
-        return ("v", "t", "id") if self.id_table is not None else ("v", "t")
-
     def item_embeddings(self, item_idx, drop=0.0, rng=None):
         item_idx = np.asarray(item_idx, dtype=np.int64)
         cat, n = self.catalog, len(item_idx)
@@ -144,10 +140,6 @@ class IdOnlyTower(Module):
 
     def __init__(self, n_items, d, rng):
         self.id_table = Parameter(ID_INIT_SCALE * rng.normal(size=(n_items, d)), "item.id_table")
-
-    @property
-    def branches(self):
-        return ("id",)
 
     def item_embeddings(self, item_idx, drop=0.0, rng=None):
         return {"id": nm.take_rows(self.id_table, np.asarray(item_idx, dtype=np.int64))}

@@ -41,14 +41,15 @@ def debiased_scores(user_vecs, item_vecs, pop):
         )
     pop = np.asarray(pop, dtype=np.float64)
     correction = np.log(np.maximum(pop, 1.0))
-    return nm.sub(nm.matmul(user_vecs, nm.transpose_last(item_vecs)), Tensor(correction))
+    return nm.sub(nm.matmul(user_vecs, nm.permute(item_vecs, (1, 0))), Tensor(correction))
 
 
 def exclusion_mask(exclusion_sets, candidates, target_cols):
     """Additive (B, C) mask blocking each row's false-negative columns.
 
     A row's own target column is always kept visible, even when the target
-    item also occurs in that row's history.
+    item also occurs in that row's history. Warns when a row then sees at
+    most one column: its CE is exactly 0.
     """
     cand_pos = {item: j for j, item in enumerate(candidates)}
     mask = np.zeros((len(exclusion_sets), len(candidates)))
@@ -57,25 +58,17 @@ def exclusion_mask(exclusion_sets, candidates, target_cols):
             j = cand_pos.get(item)
             if j is not None and j != target_cols[i]:
                 mask[i, j] = MASKED
-    _warn_if_collapsed(mask)
+    if np.any((mask == 0.0).sum(axis=1) <= 1):
+        warnings.warn("row candidate set collapsed to the target alone (loss 0)")
     return mask
 
 
-def _warn_if_collapsed(excl_mask):
-    """Warn when a row sees at most one column: its CE is exactly 0."""
-    if np.any((excl_mask == 0.0).sum(axis=1) <= 1):
-        warnings.warn("row candidate set collapsed to the target alone (loss 0)")
-
-
-def inbatch_ce(scores, target_cols, excl_mask=None):
-    """Row-summed softmax CE over {target} union (candidates minus exclusions)."""
+def inbatch_ce(scores, target_cols):
+    """Row-summed softmax CE over each row's columns. Scores already masked
+    with `exclusion_mask` leave out each row's false negatives."""
     target_cols = np.asarray(target_cols, dtype=np.int64)
-    masked = scores
-    if excl_mask is not None:
-        _warn_if_collapsed(excl_mask)
-        masked = nm.add(scores, Tensor(excl_mask))
-    lse = nm.logsumexp(masked, axis=1)
-    tgt = nm.take_steps(masked, target_cols)
+    lse = nm.logsumexp(scores, axis=1)
+    tgt = nm.take_steps(scores, target_cols)
     return nm.tsum(nm.sub(lse, tgt))
 
 

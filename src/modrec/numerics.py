@@ -2,7 +2,9 @@
 
 Everything downstream (item towers, sequence towers, losses) is composed
 from the primitives in this module, so every gradient in the project is
-checkable against finite differences through a single code path.
+checkable against finite differences through a single code path. The
+module holds only ops that some model path runs; the reference chains the
+tests compare the fused ops against live beside the tests.
 
 The hot composites (`linear`, `relu`, `layer_norm`, `masked_attention`,
 `dropout`, `gru_layer`) are fused: each is one graph node instead of a
@@ -18,15 +20,17 @@ equal, and metrics, losses and trained parameters stay byte-identical.
 Every Tensor is checked for NaN/Inf when built, except the outputs of
 `reshape`, `permute`, `concat`, `take_rows`, `take_steps` and `relu`, which
 only rearrange, select or clamp checked values; so `NonFiniteError` fires at
-the op that made the value. A fused op also checks each intermediate whose
-non-finite value the rest of the op would absorb (`var` in `layer_norm`;
-the scaled, masked scores in `masked_attention`, where softmax would turn a
--inf into 0; each gate's pre-activation in `gru_layer`).
+the op that made the value, and its message names that op. A fused op also
+checks each intermediate whose non-finite value the rest of the op would
+absorb (`var` in `layer_norm`; the scaled, masked scores in
+`masked_attention`, where softmax would turn a -inf into 0; each gate's
+pre-activation in `gru_layer`), and names it.
 
 In the backward pass a 2-D weight's gradient is one GEMM over all rows,
 `x.reshape(-1, d_in).T @ g.reshape(-1, d_out)`, in `linear` and `matmul`
 alike. A fresh gradient that its producer gives to no other node becomes
 its parent's gradient as it is (`_accum`); any other first one is copied.
+`take_rows` and `take_steps` scatter straight into their input's gradient.
 """
 
 from __future__ import annotations
@@ -159,9 +163,13 @@ def _wrap(x):
 
 
 def _make(data, parents, backward, cls=Tensor):
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        return cls(data, parents=parents, backward=backward, requires_grad=True)
-    return cls(data)
+    try:
+        if _grad_enabled and any(p.requires_grad for p in parents):
+            return cls(data, parents=parents, backward=backward, requires_grad=True)
+        return cls(data)
+    except NonFiniteError:
+        op = backward.__qualname__.partition(".")[0]  # "<op>.<locals>.bwd"
+        raise NonFiniteError(f"non-finite output of {op}") from None
 
 
 def _accum(t, g, fresh=False):
@@ -228,36 +236,6 @@ def mul(a, b):
     return _make(a.data * b.data, (a, b), bwd)
 
 
-def powc(a, p):
-    """Elementwise power with a constant exponent."""
-    a = _wrap(a)
-
-    def bwd(g):
-        _accum(a, g * p * np.power(a.data, p - 1.0))
-
-    return _make(np.power(a.data, p), (a,), bwd)
-
-
-def tanh(a):
-    a = _wrap(a)
-    out_data = np.tanh(a.data)
-
-    def bwd(g):
-        _accum(a, g * (1.0 - out_data * out_data))
-
-    return _make(out_data, (a,), bwd)
-
-
-def sigmoid(a):
-    a = _wrap(a)
-    out_data = 1.0 / (1.0 + np.exp(-a.data))
-
-    def bwd(g):
-        _accum(a, g * out_data * (1.0 - out_data))
-
-    return _make(out_data, (a,), bwd)
-
-
 def leaky_relu(a, slope=0.01):
     a = _wrap(a)
     pos = a.data > 0
@@ -300,13 +278,6 @@ def permute(a, axes):
     return _make(a.data.transpose(axes), (a,), bwd, _Rearranged)
 
 
-def transpose_last(a):
-    a = _wrap(a)
-    axes = list(range(a.data.ndim))
-    axes[-1], axes[-2] = axes[-2], axes[-1]
-    return permute(a, tuple(axes))
-
-
 def concat(parts, axis=0):
     parts = [_wrap(p) for p in parts]
     sizes = [p.data.shape[axis] for p in parts]
@@ -346,9 +317,9 @@ def take_steps(a, idx):
     def bwd(g):
         if not a.requires_grad:
             return
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, (rows, idx), g)
-        _accum(a, ga)
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+        np.add.at(a.grad, (rows, idx), g)
 
     return _make(a.data[rows, idx], (a,), bwd, _Rearranged)
 
@@ -481,7 +452,7 @@ def layer_norm(x, gamma, beta):
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
     # xc * xc can overflow while out stays finite (inv becomes 0).
-    _check_finite(var)
+    _check_finite(var, "layer_norm variance")
     ve = var + LN_EPS
     inv = np.power(ve, p)
     xhat = xc * inv
@@ -532,7 +503,7 @@ def masked_attention(q, k, v, mask, scale):
     if mask is not None:
         scores += _wrap(mask).data
     # softmax maps a -inf score to a probability of exactly 0.
-    _check_finite(scores)
+    _check_finite(scores, "masked_attention scores")
     scores -= scores.max(axis=-1, keepdims=True)
     probs = np.exp(scores)
     probs /= probs.sum(axis=-1, keepdims=True)

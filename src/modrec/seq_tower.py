@@ -43,8 +43,7 @@ class SelfAttentionSeqTower(Module):
 
 
 class GruSeqTower(Module):
-    def __init__(self, rng, d, max_len, layers=1, name="seq"):
-        self.max_len = max_len
+    def __init__(self, rng, d, layers=1, name="seq"):
         self.cells = []
         for i in range(layers):
             cell = {}
@@ -77,11 +76,5 @@ def build_seq_tower(cfg_model, rng, branch, max_len):
             name=f"seq_{branch}",
         )
     if cfg_model.backbone == "recurrent":
-        return GruSeqTower(
-            rng,
-            cfg_model.d,
-            max_len,
-            layers=cfg_model.gru_layers,
-            name=f"seq_{branch}",
-        )
+        return GruSeqTower(rng, cfg_model.d, layers=cfg_model.gru_layers, name=f"seq_{branch}")
     raise ValueError(f"unknown backbone {cfg_model.backbone!r}; expected one of {BACKBONES}")

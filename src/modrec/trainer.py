@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,7 +61,7 @@ def build_model(cfg, catalog):
     ss = np.random.SeedSequence(cfg.seed)
     init_rng = np.random.default_rng(ss.spawn(1)[0])
     item_tower = build_item_tower(catalog, cfg.model, init_rng, id_init_seed=cfg.seed)
-    branches = tuple(b for b in cfg.model.branch_list if b in item_tower.branches)
+    branches = cfg.model.branch_list
     seq_keys = ("fused",) if cfg.train.fusion == "early" and len(branches) > 1 else branches
     seq_towers = {
         key: build_seq_tower(cfg.model, init_rng, key, cfg.data.max_len) for key in seq_keys
@@ -142,35 +141,19 @@ def step_loss(model, batch, pop, epoch, drop=0.0, drop_rng=None):
 # -- metrics ----------------------------------------------------------------------
 
 
-def recall_ndcg(rank, k):
-    """Single-relevant-item Recall@k and NDCG@k from the target's rank."""
-    if rank < 1:
-        raise ValueError(f"rank must be >= 1, got {rank}")
-    if rank > k:
-        return 0.0, 0.0
-    return 1.0, 1.0 / math.log2(rank + 1)
-
-
-def rank_full_catalog(scores, exclude=(), target=None):
-    """Descending ranking over the catalog minus excluded items.
-
-    Ties break by ascending item index. Returns the ordered item list, or
-    the 1-based rank of `target` when it is given.
-    """
+def rank_full_catalog(scores, exclude, target):
+    """1-based rank of `target` in the descending ranking of the catalog
+    minus the excluded items; ties break by ascending item index."""
     scores = np.asarray(scores, dtype=np.float64)
     excluded = np.zeros(scores.size, dtype=bool)
     if len(exclude):
         excluded[np.fromiter(exclude, dtype=np.int64)] = True
-    if target is not None:
-        if excluded[target]:
-            raise ValueError("target item must not be excluded")
-        s_t = scores[target]
-        better = (scores > s_t) & ~excluded
-        tied = (scores == s_t) & ~excluded
-        return 1 + int(better.sum()) + int(tied[:target].sum())
-    keep = np.flatnonzero(~excluded)
-    order = np.lexsort((keep, -scores[keep]))
-    return keep[order].tolist()
+    if excluded[target]:
+        raise ValueError("target item must not be excluded")
+    s_t = scores[target]
+    better = (scores > s_t) & ~excluded
+    tied = (scores == s_t) & ~excluded
+    return 1 + int(better.sum()) + int(tied[:target].sum())
 
 
 def popularity_groups(pop, n_groups):
@@ -234,9 +217,7 @@ def evaluate(model, catalog, dataset, split="test", ks=(10, 20), n_groups=8, use
                 h = tower.encode_batch(seqs, lengths).data
                 branch_scores[key] = h @ embs.T
         if len(score_keys) > 1:
-            branch_scores["ensemble"] = np.mean(
-                [branch_scores[k] for k in score_keys], axis=0
-            )
+            branch_scores["ensemble"] = ls.ensemble_logits(branch_scores).data
         for key, scores in branch_scores.items():
             for i, score_row in enumerate(scores, start):
                 ranks[key][i] = rank_full_catalog(score_row, excludes[i], targets[i])
@@ -365,7 +346,6 @@ ABLATIONS = {
     "no_distill": ("train.fusion=late", "distill.enabled=false"),
     "no_id": ("model.branches=v,t",),
 }
-ABLATION_VARIANTS = tuple(ABLATIONS)
 
 
 def ablation_config(base, variant):
@@ -375,7 +355,7 @@ def ablation_config(base, variant):
     return with_overrides(base, ABLATIONS[variant])
 
 
-def run_ablation_matrix(base_cfg, catalog, dataset, variants=ABLATION_VARIANTS,
+def run_ablation_matrix(base_cfg, catalog, dataset, variants=tuple(ABLATIONS),
                         progress=None):
     """Train every ablation variant on shared data/seed; return metric rows."""
     cfgs = [ablation_config(base_cfg, variant) for variant in variants]

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from modrec import datagen
 from modrec import numerics as nm
-from modrec.numerics import Tensor
+from modrec.numerics import Tensor, _accum, _make, _wrap
 
 
 def finite_difference_check(build, params, h=1e-5, rtol=1e-4, atol=1e-7,
@@ -34,6 +36,50 @@ def finite_difference_check(build, params, h=1e-5, rtol=1e-4, atol=1e-7,
             )
 
 
+# Reference ops: no model path runs them, but the primitive chains below and
+# in test_numerics.py, which the fused ops must match, are built from them.
+
+
+def powc(a, p):
+    """Elementwise power with a constant exponent."""
+    a = _wrap(a)
+
+    def bwd(g):
+        _accum(a, g * p * np.power(a.data, p - 1.0))
+
+    return _make(np.power(a.data, p), (a,), bwd)
+
+
+def tanh(a):
+    a = _wrap(a)
+    out_data = np.tanh(a.data)
+
+    def bwd(g):
+        _accum(a, g * (1.0 - out_data * out_data))
+
+    return _make(out_data, (a,), bwd)
+
+
+def sigmoid(a):
+    a = _wrap(a)
+    out_data = 1.0 / (1.0 + np.exp(-a.data))
+
+    def bwd(g):
+        _accum(a, g * out_data * (1.0 - out_data))
+
+    return _make(out_data, (a,), bwd)
+
+
+def recall_ndcg(rank, k):
+    """Oracle for one user: Recall@k and NDCG@k of a single relevant item
+    from its 1-based rank."""
+    if rank < 1:
+        raise ValueError(f"rank must be >= 1, got {rank}")
+    if rank > k:
+        return 0.0, 0.0
+    return 1.0, 1.0 / math.log2(rank + 1)
+
+
 def unrolled_gru_layer(x, lengths, Wxr, Whr, br, Wxz, Whz, bz, Wxn, Whn, bn):
     """Reference for numerics.gru_layer: the GRU recurrence unrolled into
     primitives, a few dozen graph nodes per step."""
@@ -42,9 +88,9 @@ def unrolled_gru_layer(x, lengths, Wxr, Whr, br, Wxz, Whz, bz, Wxn, Whn, bn):
     states = []
     for step in range(t):
         xt = nm.take_steps(x, np.full(b, step))
-        r = nm.sigmoid(nm.add(nm.add(nm.matmul(xt, Wxr), nm.matmul(h, Whr)), br))
-        z = nm.sigmoid(nm.add(nm.add(nm.matmul(xt, Wxz), nm.matmul(h, Whz)), bz))
-        n = nm.tanh(nm.add(nm.add(nm.matmul(xt, Wxn), nm.mul(r, nm.matmul(h, Whn))), bn))
+        r = sigmoid(nm.add(nm.add(nm.matmul(xt, Wxr), nm.matmul(h, Whr)), br))
+        z = sigmoid(nm.add(nm.add(nm.matmul(xt, Wxz), nm.matmul(h, Whz)), bz))
+        n = tanh(nm.add(nm.add(nm.matmul(xt, Wxn), nm.mul(r, nm.matmul(h, Whn))), bn))
         h_next = nm.add(nm.mul(nm.sub(1.0, z), n), nm.mul(z, h))
         alive = Tensor((np.asarray(lengths) > step).astype(np.float64)[:, None])
         h = nm.add(nm.mul(alive, h_next), nm.mul(nm.sub(1.0, alive), h))

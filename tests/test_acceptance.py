@@ -8,14 +8,14 @@ import time
 import numpy as np
 import pytest
 
-from conftest import finite_difference_check
+from conftest import finite_difference_check, recall_ndcg
 from modrec import datagen, losses as ls, numerics as nm, trainer
 from modrec.config import ExperimentConfig
 from modrec.datagen import Batch, Catalog
 from modrec.item_tower import ItemTower, init_id_table
 from modrec.numerics import MASKED, Tensor
 from modrec.seq_tower import SelfAttentionSeqTower
-from modrec.trainer import ensemble_key, rank_full_catalog, recall_ndcg
+from modrec.trainer import ensemble_key, rank_full_catalog
 
 
 _CAPFD = None
@@ -170,7 +170,10 @@ def test_criterion_4_metric_oracle():
         recall, ndcg = recall_ndcg(rank, k)
         oracle_recall = float(target in ordered[:k])
         oracle_ndcg = 1.0 / np.log2(ordered.index(target) + 2.0) if oracle_recall else 0.0
-        if rank != ordered.index(target) + 1 or recall != oracle_recall or ndcg != oracle_ndcg:
+        # the program's metrics for this one user
+        got = trainer._metrics_for_ranks(np.array([rank]), [k])
+        if (rank != ordered.index(target) + 1 or recall != oracle_recall or ndcg != oracle_ndcg
+                or (got[f"recall@{k}"], got[f"ndcg@{k}"]) != (recall, ndcg)):
             mismatches += 1
     spot = recall_ndcg(1, 10) == (1.0, 1.0) and recall_ndcg(3, 10)[1] == 0.5
     report(4, mismatches == 0 and spot, f"{mismatches}/1000 oracle mismatches")
@@ -266,8 +269,8 @@ def test_criterion_8_exclusion_changes_loss_by_exactly_zero():
     for i, j in ((0, 2), (1, 5), (3, 0), (3, 6), (4, 1)):
         mask[i, j] = MASKED
     targets = [1, 2, 3, 4, 5]
-    base = ls.inbatch_ce(Tensor(raw), targets, mask).item()
+    base = ls.inbatch_ce(nm.add(Tensor(raw), Tensor(mask)), targets).item()
     bumped = raw.copy()
     bumped[mask == MASKED] += rng.normal(size=5) * 1e8
-    delta = ls.inbatch_ce(Tensor(bumped), targets, mask).item() - base
+    delta = ls.inbatch_ce(nm.add(Tensor(bumped), Tensor(mask)), targets).item() - base
     report(8, delta == 0.0, f"loss delta {delta!r} under excluded-column perturbation")

@@ -54,6 +54,19 @@ BAD_SETTINGS = [
     ("model.branches", "v,v"),
     ("model.fst", "cnn"),
     ("train.fusion", "middle"),
+    ("data.max_len", 2),
+    ("data.max_len", 0),
+    ("model.item_layers", -2),
+    ("model.seq_layers", -1),
+    ("train.patience", 0),
+    ("train.patience", -3),
+    ("data.p_intra", 1.7),
+    ("data.p_intra", -0.1),
+    ("data.p_cold_last", 1.5),
+    ("data.p_cold_last", -0.2),
+    ("data.item_noise", -0.1),
+    ("data.row_noise", -0.3),
+    ("data.n_pref", 0),
 ]
 
 
@@ -73,11 +86,16 @@ def test_validate_keeps_boundary_values():
     cfg = ExperimentConfig()
     for key, value in [("eval.groups", 0), ("train.epochs", 0), ("train.batch_size", 2),
                        ("data.cold_frac", 1.0), ("eval.ks", [1]), ("distill.alpha", 1.0),
-                       ("eval.val_users", 0)]:
+                       ("eval.val_users", 0), ("data.max_len", 3), ("model.item_layers", 0),
+                       ("model.seq_layers", 0), ("train.patience", 1), ("data.p_intra", 1.0),
+                       ("data.p_cold_last", 1.0), ("data.item_noise", 0.0),
+                       ("data.row_noise", 0.0), ("data.n_pref", 1)]:
         apply_setting(cfg, key, value)
     cfg.validate()
     apply_setting(cfg, "data.cold_frac", 0.0)
     apply_setting(cfg, "eval.groups", 2)
+    apply_setting(cfg, "data.p_intra", 0.0)
+    apply_setting(cfg, "data.p_cold_last", 0.0)
     cfg.validate()
 
 

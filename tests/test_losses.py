@@ -95,25 +95,26 @@ def test_excluded_columns_change_loss_by_exactly_zero():
     mask = np.zeros((4, 6))
     mask[0, 3] = mask[2, 1] = mask[2, 5] = MASKED
     targets = [0, 1, 2, 3]
-    base = inbatch_ce(T(raw), targets, mask).item()
+    base = inbatch_ce(nm.add(T(raw), Tensor(mask)), targets).item()
     bumped = raw.copy()
     bumped[0, 3] += 1e6
     bumped[2, 1] -= 1e6
     bumped[2, 5] += 3.0
-    assert inbatch_ce(T(bumped), targets, mask).item() == base
+    assert inbatch_ce(nm.add(T(bumped), Tensor(mask)), targets).item() == base
 
 
 def test_excluding_a_strong_negative_lowers_the_loss():
     raw = T([[1.0, 5.0, 0.0]])
     mask = np.zeros((1, 3))
     mask[0, 1] = MASKED
-    assert inbatch_ce(raw, [0], mask).item() < inbatch_ce(raw, [0]).item()
+    assert inbatch_ce(nm.add(raw, Tensor(mask)), [0]).item() < inbatch_ce(raw, [0]).item()
 
 
 def test_row_collapsed_to_target_warns():
-    mask = np.array([[0.0, MASKED]])
     with pytest.warns(UserWarning, match="collapsed"):
-        loss = inbatch_ce(T([[3.0, 1.0]]), [0], mask)
+        mask = exclusion_mask([{7}], candidates=[5, 7], target_cols=[0])
+    np.testing.assert_array_equal(mask, [[0.0, MASKED]])
+    loss = inbatch_ce(nm.add(T([[3.0, 1.0]]), Tensor(mask)), [0])
     assert abs(loss.item()) < 1e-12
 
 

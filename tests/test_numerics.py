@@ -4,9 +4,12 @@ import inspect
 import numpy as np
 import pytest
 
-from conftest import finite_difference_check, unrolled_gru_layer
+from conftest import finite_difference_check, powc, sigmoid, tanh, unrolled_gru_layer
 from modrec import numerics as nm
+from modrec import trainer
 from modrec.blocks import TransformerLayer
+from modrec.config import ExperimentConfig, with_overrides
+from modrec.datagen import make_batches
 from modrec.numerics import Adam, MASKED, NonFiniteError, Parameter, Tensor
 from modrec.seq_tower import GruSeqTower
 
@@ -19,6 +22,12 @@ def _causal(length):
     return np.triu(np.full((length, length), MASKED), k=1)
 
 
+def _swap_last(t):
+    """t with its last two axes swapped, by permute."""
+    nd = len(t.shape)
+    return nm.permute(t, (*range(nd - 2), nd - 1, nd - 2))
+
+
 # -- primitive gradients vs finite differences ---------------------------------
 
 
@@ -26,13 +35,14 @@ PRIMITIVES = {
     "add": lambda a, b: nm.add(a, b),
     "sub": lambda a, b: nm.sub(a, b),
     "mul": lambda a, b: nm.mul(a, b),
-    "matmul": lambda a, b: nm.matmul(a, nm.transpose_last(b)),
+    "matmul": lambda a, b: nm.matmul(a, _swap_last(b)),
     "softmax": lambda a, b: nm.mul(nm.softmax(a), b),
     "logsumexp": lambda a, b: nm.logsumexp(nm.mul(a, b), axis=-1, keepdims=True),
-    "tanh": lambda a, b: nm.tanh(nm.mul(a, b)),
-    "sigmoid": lambda a, b: nm.sigmoid(nm.add(a, b)),
+    # reference ops from conftest, which the chains below are built from
+    "tanh": lambda a, b: tanh(nm.mul(a, b)),
+    "sigmoid": lambda a, b: sigmoid(nm.add(a, b)),
     "leaky_relu": lambda a, b: nm.leaky_relu(a, 0.01),
-    "powc": lambda a, b: nm.powc(nm.add(nm.mul(a, a), 0.5), -0.5),
+    "powc": lambda a, b: powc(nm.add(nm.mul(a, a), 0.5), -0.5),
     "concat": lambda a, b: nm.concat([a, b], axis=1),
     "permute": lambda a, b: nm.permute(nm.reshape(a, (2, 5, 3)), (1, 0, 2)),
     "mean": lambda a, b: nm.tmean(nm.mul(a, b), axis=0),
@@ -175,6 +185,44 @@ def test_every_differentiable_op_has_a_gradient_check():
     assert not missing, f"ops without a finite-difference check: {sorted(missing)}"
 
 
+# Every model path, as overrides on a small base config.
+MODEL_PATHS = {
+    "imt": [],
+    "separate": ["model.fst=separate"],
+    "dnn": ["model.fst=dnn"],
+    "early": ["train.fusion=early"],
+    "late": ["train.fusion=late"],
+    "recurrent": ["model.backbone=recurrent"],
+    "id_only": ["model.branches=id"],
+}
+
+
+def test_every_public_op_runs_in_a_model_path(tiny_data):
+    """numerics holds no op that only tests use: one training step (dropout
+    on, distillation ramped in) and a small evaluation over every model
+    path call every public op."""
+    catalog, dataset = tiny_data
+    base = ["model.d=8", "model.item_layers=1", "model.seq_layers=1",
+            "train.batch_size=32", "eval.ks=[10]"]
+    called = set()
+    for overrides in MODEL_PATHS.values():
+        cfg = with_overrides(ExperimentConfig(), base + overrides)
+        model = trainer.build_model(cfg, catalog)
+        batch = next(make_batches(dataset, cfg.train.batch_size, seed=0))
+
+        def run():
+            total, _ = trainer.step_loss(model, batch, dataset.pop, epoch=1,
+                                         drop=cfg.model.dropout,
+                                         drop_rng=np.random.default_rng(0))
+            total.backward()
+            trainer.evaluate(model, catalog, dataset, ks=cfg.eval.ks, n_groups=0,
+                             user_limit=8)
+
+        called |= _ops_called(run)
+    missing = set(_public_ops()) - called
+    assert not missing, f"public ops that no model path runs: {sorted(missing)}"
+
+
 def test_batched_matmul_gradients():
     rng = np.random.default_rng(3)
     a = _param(rng, (4, 3, 5), "a")
@@ -245,12 +293,12 @@ def chain_layer_norm(x, gamma, beta, eps=1e-5):
     mu = nm.tmean(x, axis=-1, keepdims=True)
     xc = nm.sub(x, mu)
     var = nm.tmean(nm.mul(xc, xc), axis=-1, keepdims=True)
-    inv = nm.powc(nm.add(var, eps), -0.5)
+    inv = powc(nm.add(var, eps), -0.5)
     return nm.add(nm.mul(nm.mul(xc, inv), gamma), beta)
 
 
 def chain_masked_attention(q, k, v, mask, scale):
-    scores = nm.mul(nm.matmul(q, nm.transpose_last(k)), scale)
+    scores = nm.mul(nm.matmul(q, _swap_last(k)), scale)
     if mask is not None:
         scores = nm.add(scores, mask)
     return nm.matmul(nm.softmax(scores, axis=-1), v)
@@ -380,7 +428,7 @@ def test_row_selected_transformer_layer_matches_primitive_chains_exactly(monkeyp
 def test_gru_tower_matches_unrolled_chain_exactly(monkeypatch, layers, lengths):
     def run():
         rng = np.random.default_rng(4)
-        tower = GruSeqTower(rng, 6, 8, layers=layers)
+        tower = GruSeqTower(rng, 6, layers=layers)
         x = _leaf(rng.normal(size=(5, max(lengths), 6)))
         out = tower.encode_batch(x, np.array(lengths))
         # x already holds a gradient when the tower's contributions arrive
@@ -435,20 +483,43 @@ NON_FINITE_CASES = {
 }
 
 
+def _finite_as_parameters(args):
+    # finite arrays become Parameters, so with grad on the ops build graph nodes
+    return [Parameter(a, "in") if isinstance(a, np.ndarray) and np.isfinite(a).all()
+            else a for a in args]
+
+
 @pytest.mark.parametrize("grad", [True, False], ids=["grad", "no_grad"])
 @pytest.mark.parametrize("case", sorted(NON_FINITE_CASES))
 def test_fused_ops_raise_non_finite_like_the_chains(case, grad):
     name, args = NON_FINITE_CASES[case]
-    # finite arrays become Parameters, so with grad on the ops build graph nodes
-    args = [Parameter(a, "in") if isinstance(a, np.ndarray) and np.isfinite(a).all()
-            else a for a in args]
+    args = _finite_as_parameters(args)
     for op in (getattr(nm, name), CHAINS[name]):
         with np.errstate(all="ignore"), pytest.raises(NonFiniteError):
             with contextlib.nullcontext() if grad else nm.no_grad():
                 op(*args)
 
 
-# Ops that compute new values check their output. Each case overflows to inf.
+# The cases above in which the fused op itself makes the non-finite value,
+# and what its error then names.
+NON_FINITE_MESSAGES = {
+    "layer_norm": "non-finite layer_norm variance",
+    "masked_attention": "non-finite masked_attention scores",
+    "linear_overflow": "non-finite output of linear$",
+    "dropout_p_one": "non-finite output of dropout$",
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_MESSAGES))
+def test_fused_op_error_names_the_op(case):
+    name, args = NON_FINITE_CASES[case]
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteError,
+                                                  match=NON_FINITE_MESSAGES[case]):
+        getattr(nm, name)(*_finite_as_parameters(args))
+
+
+# Ops that compute new values check their output, and the error names the
+# op: the case's name. Each case overflows to inf.
 BIG = np.full((2, 2), 1e308)
 OVERFLOW_CASES = {
     "add": (nm.add, [BIG, BIG]),
@@ -458,7 +529,8 @@ OVERFLOW_CASES = {
     "linear": (nm.linear, [BIG, BIG, np.zeros(2)]),
     "tsum": (nm.tsum, [BIG]),
     "tmean": (nm.tmean, [BIG]),
-    "powc": (lambda a: nm.powc(a, 2.0), [BIG]),
+    # the reference op checks its output like the ops it stands in for
+    "powc": (lambda a: powc(a, 2.0), [BIG]),
     # keep is 0 or 2, and rng 0 keeps some of the 4 entries
     "dropout": (lambda a: nm.dropout(a, 0.5, np.random.default_rng(0)), [BIG]),
 }
@@ -469,7 +541,8 @@ OVERFLOW_CASES = {
 def test_arithmetic_ops_raise_non_finite_on_overflow(case, grad):
     op, args = OVERFLOW_CASES[case]
     args = [Parameter(a, "in") if grad else Tensor(a) for a in args]
-    with np.errstate(all="ignore"), pytest.raises(NonFiniteError):
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteError,
+                                                  match=f"non-finite output of {case}$"):
         with contextlib.nullcontext() if grad else nm.no_grad():
             op(*args)
 

@@ -17,7 +17,7 @@ def towers(d=6, max_len=8):
     rng = np.random.default_rng(0)
     return [
         SelfAttentionSeqTower(rng, d, max_len, layers=2, heads=2),
-        GruSeqTower(rng, d, max_len, layers=1),
+        GruSeqTower(rng, d, layers=1),
     ]
 
 

@@ -1,13 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from conftest import unrolled_gru_layer
+from conftest import recall_ndcg, unrolled_gru_layer
 from modrec import numerics as nm
 from modrec import trainer
 from modrec.config import ExperimentConfig
 from modrec.datagen import Batch, make_batches
 from modrec.trainer import (
-    ABLATION_VARIANTS,
+    ABLATIONS,
     ablation_config,
     build_model,
     ensemble_key,
@@ -15,7 +17,6 @@ from modrec.trainer import (
     load_checkpoint,
     popularity_groups,
     rank_full_catalog,
-    recall_ndcg,
     save_checkpoint,
     step_loss,
     train,
@@ -53,15 +54,15 @@ def test_recall_ndcg_spot_values():
 
 def test_rank_basic_order_and_exclusion():
     scores = np.array([0.1, 0.9, 0.5])
-    assert rank_full_catalog(scores) == [1, 2, 0]
-    assert rank_full_catalog(scores, exclude={1}) == [2, 0]
+    # order 1, 2, 0; without item 1: 2, 0
+    assert [rank_full_catalog(scores, (), t) for t in (1, 2, 0)] == [1, 2, 3]
+    assert [rank_full_catalog(scores, {1}, t) for t in (2, 0)] == [1, 2]
 
 
 def test_rank_tie_break_by_item_index():
     scores = np.array([1.0, 2.0, 2.0, 0.0])
-    assert rank_full_catalog(scores) == [1, 2, 0, 3]
-    assert rank_full_catalog(scores, target=1) == 1
-    assert rank_full_catalog(scores, target=2) == 2
+    # order 1, 2, 0, 3
+    assert [rank_full_catalog(scores, (), t) for t in (1, 2, 0, 3)] == [1, 2, 3, 4]
     assert rank_full_catalog(scores, exclude={1}, target=2) == 1
 
 
@@ -78,15 +79,12 @@ def test_rank_matches_brute_force_on_random_instances():
         scores = rng.integers(0, 4, size=n).astype(float)
         excl = set(rng.choice(n, size=int(rng.integers(0, n - 1)), replace=False).tolist())
         target = int(rng.choice([i for i in range(n) if i not in excl]))
-        ordered = rank_full_catalog(scores, excl)
-        assert ordered == sorted(
-            (i for i in range(n) if i not in excl),
-            key=lambda i: (-scores[i], i),
-        )
+        ordered = sorted((i for i in range(n) if i not in excl), key=lambda i: (-scores[i], i))
         rank = rank_full_catalog(scores, excl, target)
         assert rank == ordered.index(target) + 1
         for k in (1, 5):
-            recall, ndcg = recall_ndcg(rank, k)
+            metrics = trainer._metrics_for_ranks(np.array([rank]), [k])
+            recall, ndcg = metrics[f"recall@{k}"], metrics[f"ndcg@{k}"]
             assert recall == float(target in ordered[:k])
             expected = 1.0 / np.log2(rank + 1.0) if rank <= k else 0.0
             assert abs(ndcg - expected) < 1e-12
@@ -125,10 +123,10 @@ def test_build_model_tower_layout(tiny_data):
 
 
 def test_seq_towers_take_max_len_from_data(tiny_data):
+    # the GRU towers have no length limit
     catalog, _ = tiny_data
-    for backbone in ("self_attention", "recurrent"):
-        model = build_model(tiny_cfg(data__max_len=20, model__backbone=backbone), catalog)
-        assert {tower.max_len for tower in model.seq_towers.values()} == {20}
+    model = build_model(tiny_cfg(data__max_len=20), catalog)
+    assert {tower.max_len for tower in model.seq_towers.values()} == {20}
 
 
 def _linear(name):
@@ -315,7 +313,9 @@ def test_evaluate_ranks_match_per_user_brute_force(tiny_data, monkeypatch, split
                 tower.encode_batch(nm.Tensor(e[row][None]), np.array([len(row)])).data[0] @ e.T
                 for row in rows
             ]
-    scores["ensemble"] = [np.mean(per_user, axis=0) for per_user in zip(*scores.values())]
+    # the mean as every path forms it: the sum in tower order, times 1/n
+    scores["ensemble"] = [sum(per_user[1:], per_user[0]) * (1.0 / len(per_user))
+                          for per_user in zip(*scores.values())]
     expected = []
     for key_scores in scores.values():  # evaluate's order: towers, then ensemble
         for s, row, t in zip(key_scores, rows, targets):
@@ -364,6 +364,15 @@ def test_a_one_row_batch_warns_that_its_loss_is_zero(tiny_data):
     assert dataset.n_users % 53 == 1  # the last batch holds a single row
     with pytest.warns(UserWarning, match="collapsed"):
         train(tiny_cfg(train__batch_size=53), catalog, dataset)
+
+
+def test_divergence_names_the_op(tiny_data):
+    # q k^T overflows in the item tower's attention
+    catalog, dataset = tiny_data
+    huge = dataclasses.replace(catalog, visual=catalog.visual * 1e200)
+    with np.errstate(all="ignore"), pytest.raises(
+            RuntimeError, match="diverged at epoch 0 step 0: non-finite masked_attention scores"):
+        train(tiny_cfg(), huge, dataset)
 
 
 def test_train_is_deterministic(tiny_data):
@@ -451,7 +460,7 @@ def test_ablation_config_mapping():
     assert base.model.id_init == "avg_modal" and base.train.fusion == "collaborative"
     with pytest.raises(ValueError):
         ablation_config(base, "bogus")
-    assert "full" in ABLATION_VARIANTS
+    assert "full" in ABLATIONS
 
 
 def test_ablation_full_row_matches_standalone_run(tiny_data):
