@@ -109,62 +109,47 @@ def cmd_eval(args):
     return 0
 
 
-def _write_grid(out_dir, filename, rows, cfg, started):
-    """Write one row per grid cell to out_dir/filename, plus the manifest."""
+def _run_grid(args, cfg, cells, name):
+    """Train every (labels, config) cell and write one row per cell to
+    <out>/<name>.csv, plus the manifest."""
+    out_dir = args.out or os.path.join(_out_root(), name)
+    started = _timestamp()
+    catalog, dataset = _resolve_data(cfg)
+    rows = trainer.run_grid(cells, catalog, dataset, progress=print)
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, filename), "w", newline="") as f:
+    with open(os.path.join(out_dir, f"{name}.csv"), "w", newline="") as f:
         w = csv.DictWriter(f, fieldnames=list(rows[0].keys()))
         w.writeheader()
         w.writerows(rows)
-    _write_manifest(out_dir, cfg, [filename], started)
+    _write_manifest(out_dir, cfg, [f"{name}.csv"], started)
+    return 0
 
 
 def cmd_ablate(args):
     cfg = load_config(args.config, args.set)
-    out_dir = args.out or os.path.join(_out_root(), "ablation")
+    cells = [({"variant": v}, trainer.ablation_config(cfg, v)) for v in trainer.ABLATIONS]
     if args.dry_run:
-        for variant in trainer.ABLATIONS:
-            trainer.ablation_config(cfg, variant)
         print("variants:", ", ".join(trainer.ABLATIONS))
         return 0
-    started = _timestamp()
-    catalog, dataset = _resolve_data(cfg)
-    rows = trainer.run_ablation_matrix(
-        cfg, catalog, dataset,
-        progress=lambda v, row: print(f"{v}: {row}"),
-    )
-    _write_grid(out_dir, "ablation.csv", rows, cfg, started)
-    return 0
+    return _run_grid(args, cfg, cells, "ablation")
 
 
 def cmd_sweep(args):
     cfg = load_config(args.config, args.set)
-    out_dir = args.out or os.path.join(_out_root(), "sweep")
     # Each cell is one override on the base config; all are validated up front.
-    cells = [("none", "distill.enabled=false")]
-    cells += [("T", f"distill.T={t}") for t in args.T_values.split(",")]
-    cells += [("alpha", f"distill.alpha={a}") for a in args.alpha_values.split(",")]
-    cells = [(axis, with_overrides(cfg, [setting])) for axis, setting in cells]
-    coords = [("", "") if axis == "none" else (c.distill.T, c.distill.alpha) for axis, c in cells]
+    settings = [("none", "distill.enabled=false")]
+    settings += [("T", f"distill.T={t}") for t in args.T_values.split(",")]
+    settings += [("alpha", f"distill.alpha={a}") for a in args.alpha_values.split(",")]
+    cells = []
+    for axis, setting in settings:
+        c = with_overrides(cfg, [setting])
+        t, a = ("", "") if axis == "none" else (c.distill.T, c.distill.alpha)
+        cells.append(({"axis": axis, "T": t, "alpha": a}, c))
     if args.dry_run:
-        for (axis, _), (t, a) in zip(cells, coords):
-            print(f"{axis}: T={t} alpha={a}")
+        for labels, _ in cells:
+            print(f"{labels['axis']}: T={labels['T']} alpha={labels['alpha']}")
         return 0
-    started = _timestamp()
-    catalog, dataset = _resolve_data(cfg)
-    rows = []
-    for (axis, cell_cfg), (t, a) in zip(cells, coords):
-        result = trainer.train(cell_cfg, catalog, dataset)
-        key = trainer.ensemble_key(result.model)
-        metrics = result.test_metrics["branches"][key]
-        k = cfg.eval.ks[0]
-        row = {"axis": axis, "T": t, "alpha": a,
-               f"recall@{k}": metrics[f"recall@{k}"],
-               f"ndcg@{k}": metrics[f"ndcg@{k}"]}
-        rows.append(row)
-        print(row)
-    _write_grid(out_dir, "sweep.csv", rows, cfg, started)
-    return 0
+    return _run_grid(args, cfg, cells, "sweep")
 
 
 def build_parser():

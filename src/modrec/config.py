@@ -54,7 +54,8 @@ RULES = (
     ("data.p_cold_last", lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
     ("data.item_noise", lambda v: v >= 0, "at least 0"),
     ("data.row_noise", lambda v: v >= 0, "at least 0"),
-    ("data.n_pref", lambda v: v >= 1, "at least 1"),
+    *((f"data.{k}", lambda v: v >= 1, "at least 1")
+      for k in ("n_items", "n_users", "n_clusters", "n_v", "n_t", "d_v", "d_t", "n_pref")),
 )
 
 
@@ -102,7 +103,6 @@ class TrainCfg:
     batch_size: int = 128
     epochs: int = 30
     patience: int = 5
-    sample_cut: bool = True
     fusion: str = "collaborative"  # one of FUSIONS
 
 
@@ -138,6 +138,9 @@ class ExperimentConfig:
             raise ValueError(
                 f"model.heads must divide model.d={self.model.d}, got {self.model.heads}"
             )
+        if self.data.n_clusters > self.data.n_items:
+            raise ValueError(f"data.n_clusters must not exceed data.n_items="
+                             f"{self.data.n_items}, got {self.data.n_clusters}")
         return self
 
     def to_flat(self):

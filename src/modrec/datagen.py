@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DataCfg
+from .config import DataCfg, ExperimentConfig
 
 MIN_SEQ_LEN = 6  # users with fewer interactions are dropped
 MAX_RAW_LEN = 18  # longest synthetic sequence before truncation to max_len
@@ -87,11 +87,7 @@ def generate_synthetic(seed=0, **params):
     """
     if "source" in params:
         raise TypeError("generate_synthetic() takes no 'source'; it is the synthetic source")
-    p = DataCfg(**params)
-    if p.n_clusters > p.n_items:
-        raise ValueError("n_clusters must not exceed n_items")
-    if min(p.n_v, p.n_t, p.d_v, p.d_t, p.n_items, p.n_users, p.n_clusters) < 1:
-        raise ValueError("all sizes and dims must be >= 1")
+    p = ExperimentConfig(data=DataCfg(**params)).validate().data
     rng = np.random.default_rng(seed)
 
     cluster_of = rng.integers(0, p.n_clusters, size=p.n_items)
@@ -155,13 +151,13 @@ def generate_synthetic(seed=0, **params):
 def split_leave_one_out(sequences, max_len=DataCfg.max_len, n_items=0):
     """Truncate to the most recent max_len items and split (prefix, val, test);
     `pop` spans at least `n_items` items."""
+    if max_len < 3:
+        raise ValueError(f"max_len must be at least 3, got {max_len}")
     kept, train, val, test = [], [], [], []
     for seq in sequences:
         if len(seq) < MIN_SEQ_LEN:
             continue
         seq = list(seq[-max_len:])
-        if len(seq) < 3:
-            raise ValueError("sequence shorter than 3 after truncation")
         kept.append(seq)
         train.append(seq[:-2])
         val.append(seq[-2])
@@ -180,13 +176,12 @@ def split_leave_one_out(sequences, max_len=DataCfg.max_len, n_items=0):
     )
 
 
-def make_batches(dataset, batch_size, seed, sample_cut=True):
+def make_batches(dataset, batch_size, seed):
     """Yield one epoch of user batches in a seed-determined shuffled order.
 
     Each row is a prefix of the user's train sequence and its target is the
     train item immediately after it; validation and test items never appear
-    as targets. With sample_cut the cut point is drawn per user per epoch,
-    otherwise the full train prefix minus its last item is shown.
+    as targets. The cut point is drawn per user per epoch.
     """
     if batch_size < 2:
         raise ValueError("batch_size must be >= 2 (in-batch negatives need peers)")
@@ -197,7 +192,7 @@ def make_batches(dataset, batch_size, seed, sample_cut=True):
         prefixes, targets = [], []
         for u in users:
             seq = dataset.train[u]
-            cut = int(rng.integers(1, len(seq))) if sample_cut else len(seq) - 1
+            cut = int(rng.integers(1, len(seq)))
             prefixes.append(seq[:cut])
             targets.append(seq[cut])
         yield Batch(

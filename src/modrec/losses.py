@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,18 +13,6 @@ from . import numerics as nm
 from .numerics import MASKED, Tensor
 
 LOG_EPS = 1e-12
-
-
-@dataclass
-class LossReport:
-    """One record per optimizer step; totals follow total = ce + w * kl."""
-
-    ce: dict  # branch -> row-summed CE
-    kl: dict  # branch -> row-averaged KL
-    ramp_w: float
-    total: float
-    ce_row_mean: float  # combined CE per row, for cross-batch-size comparability
-    kl_row_mean: float
 
 
 def _sum(terms):

@@ -1,5 +1,5 @@
 """Training loop, ranking evaluation, popularity-group analysis, and the
-ablation matrix."""
+grid runner behind the ablation matrix and the distillation sweep."""
 
 from __future__ import annotations
 
@@ -31,7 +31,6 @@ LOSS_COLUMNS = ("step", "epoch", "ce_v", "ce_t", "ce_id", "ce_ensemble", "ce_fus
 class Model(Module):
     item_tower: object
     seq_towers: dict  # branch (or "fused") -> sequence tower
-    branches: tuple  # item tower branches the model uses
     cfg: ExperimentConfig
 
     def item_embeddings(self, idx, drop=0.0, rng=None):
@@ -39,7 +38,7 @@ class Model(Module):
         fusion), also the "fused" pseudo-branch: the mean of the branches."""
         embs = self.item_tower.item_embeddings(idx, drop=drop, rng=rng)
         if "fused" in self.seq_towers:
-            embs["fused"] = ls.ensemble_logits({b: embs[b] for b in self.branches})
+            embs["fused"] = ls.ensemble_logits({b: embs[b] for b in self.cfg.model.branch_list})
         return embs
 
     def state(self):
@@ -66,7 +65,7 @@ def build_model(cfg, catalog):
     seq_towers = {
         key: build_seq_tower(cfg.model, init_rng, key, cfg.data.max_len) for key in seq_keys
     }
-    model = Model(item_tower, seq_towers, branches, cfg)
+    model = Model(item_tower, seq_towers, cfg)
     names = [p.name for p in model.params()]
     if len(names) != len(set(names)):
         raise ValueError("parameter names must be unique across towers")
@@ -85,6 +84,15 @@ def _pad_rows(rows):
     return idx, lengths
 
 
+def _user_vecs(model, embs, idx_mat, lengths, drop=0.0, rng=None):
+    """Per sequence tower, the (B, d) user vectors of the padded prefix rows
+    `idx_mat`, whose entries index the rows of `embs[key]`."""
+    return {
+        key: tower.encode_batch(nm.take_rows(embs[key], idx_mat), lengths, drop=drop, rng=rng)
+        for key, tower in model.seq_towers.items()
+    }
+
+
 def _branch_logits(model, batch, pop, drop=0.0, drop_rng=None):
     """Forward pass producing masked (B, C) logits per scoring branch."""
     # Item embeddings are computed once per distinct item of the batch. Padding
@@ -94,25 +102,23 @@ def _branch_logits(model, batch, pop, drop=0.0, drop_rng=None):
     candidates = np.unique(batch.targets)
     cand_rows = np.searchsorted(uniq, candidates)
     target_cols = np.searchsorted(candidates, batch.targets)
-    excl = ls.exclusion_mask(batch.exclusion_sets, candidates.tolist(), target_cols)
-    pop_c = pop[candidates]
-
+    excl = Tensor(ls.exclusion_mask(batch.exclusion_sets, candidates.tolist(), target_cols))
     idx_mat, lengths = _pad_rows(batch.prefixes)
-    idx_mat = np.searchsorted(uniq, idx_mat)
-    logits = {}
-    for key, tower in model.seq_towers.items():
-        seqs = nm.take_rows(embs[key], idx_mat)
-        h = tower.encode_batch(seqs, lengths, drop=drop, rng=drop_rng)
-        d_c = nm.take_rows(embs[key], cand_rows)
-        logits[key] = nm.add(ls.debiased_scores(h, d_c, pop_c), Tensor(excl))
+    vecs = _user_vecs(model, embs, np.searchsorted(uniq, idx_mat), lengths, drop, drop_rng)
+    logits = {
+        key: nm.add(ls.debiased_scores(h, nm.take_rows(embs[key], cand_rows), pop[candidates]),
+                    excl)
+        for key, h in vecs.items()
+    }
     return logits, target_cols
 
 
 def step_loss(model, batch, pop, epoch, drop=0.0, drop_rng=None):
-    """Full loss for one batch under the configured fusion / distillation mode."""
+    """Full loss for one batch under the configured fusion / distillation mode:
+    the total as a Tensor, and its `LOSS_COLUMNS` row without step and epoch
+    (totals follow total = ce + ramp_w * kl)."""
     cfg = model.cfg
     logits, target_cols = _branch_logits(model, batch, pop, drop=drop, drop_rng=drop_rng)
-    b = len(batch.prefixes)
     if cfg.train.fusion == "late" and len(logits) > 1:
         ce = {"ensemble": ls.inbatch_ce(ls.ensemble_logits(logits), target_cols)}
     else:
@@ -127,15 +133,13 @@ def step_loss(model, batch, pop, epoch, drop=0.0, drop_rng=None):
         w = ls.ramp_weight(epoch, cfg.distill.alpha)
         kl = ls.distill_bundle(logits, cfg.distill.T)
     total = ls.total_loss(ce, kl, w)
-    report = ls.LossReport(
-        ce={m: v.item() for m, v in ce.items()},
-        kl={m: v.item() for m, v in kl.items()},
-        ramp_w=w,
-        total=total.item(),
-        ce_row_mean=sum(v.item() for v in ce.values()) / b,
-        kl_row_mean=sum(v.item() for v in kl.values()),
-    )
-    return total, report
+    ce = {f"ce_{m}": v.item() for m, v in ce.items()}
+    kl = {f"kl_{m}": v.item() for m, v in kl.items()}
+    row = dict.fromkeys(LOSS_COLUMNS[2:], 0.0)
+    # ce_row_mean is the combined CE per row, comparable across batch sizes
+    row.update(ce, **kl, ramp_w=w, total=total.item(),
+               ce_row_mean=sum(ce.values()) / len(batch.prefixes), kl_row_mean=sum(kl.values()))
+    return total, row
 
 
 # -- metrics ----------------------------------------------------------------------
@@ -208,14 +212,9 @@ def evaluate(model, catalog, dataset, split="test", ks=(10, 20), n_groups=8, use
     ranks = {key: np.zeros(len(users), dtype=np.int64) for key in report_keys}
 
     for start in range(0, len(users), EVAL_CHUNK):
-        idx_mat, lengths = _pad_rows(rows[start : start + EVAL_CHUNK])
-        branch_scores = {}
         with no_grad():
-            for key, tower in model.seq_towers.items():
-                embs = item_embs[key]
-                seqs = Tensor(embs[idx_mat])
-                h = tower.encode_batch(seqs, lengths).data
-                branch_scores[key] = h @ embs.T
+            vecs = _user_vecs(model, item_embs, *_pad_rows(rows[start : start + EVAL_CHUNK]))
+        branch_scores = {key: h.data @ item_embs[key].T for key, h in vecs.items()}
         if len(score_keys) > 1:
             branch_scores["ensemble"] = ls.ensemble_logits(branch_scores).data
         for key, scores in branch_scores.items():
@@ -283,12 +282,9 @@ def train(cfg, catalog, dataset, progress=None):
     stale = 0
     step = 0
     for epoch in range(cfg.train.epochs):
-        for batch in make_batches(
-            dataset, cfg.train.batch_size, seed=[cfg.seed, 2, epoch],
-            sample_cut=cfg.train.sample_cut,
-        ):
+        for batch in make_batches(dataset, cfg.train.batch_size, seed=[cfg.seed, 2, epoch]):
             try:
-                total, report = step_loss(
+                total, row = step_loss(
                     model, batch, dataset.pop, epoch,
                     drop=cfg.model.dropout, drop_rng=drop_rng,
                 )
@@ -299,10 +295,7 @@ def train(cfg, catalog, dataset, progress=None):
                 ) from e
             optimizer.step()
             optimizer.zero_grad()
-            values = {"step": step, "epoch": epoch, **vars(report)}
-            values.update((f"ce_{m}", v) for m, v in report.ce.items())
-            values.update((f"kl_{m}", v) for m, v in report.kl.items())
-            result.loss_log.append({col: values.get(col, 0.0) for col in LOSS_COLUMNS})
+            result.loss_log.append({"step": step, "epoch": epoch, **row})
             step += 1
         val = evaluate(
             model, catalog, dataset, split="val", ks=cfg.eval.ks,
@@ -355,19 +348,15 @@ def ablation_config(base, variant):
     return with_overrides(base, ABLATIONS[variant])
 
 
-def run_ablation_matrix(base_cfg, catalog, dataset, variants=tuple(ABLATIONS),
-                        progress=None):
-    """Train every ablation variant on shared data/seed; return metric rows."""
-    cfgs = [ablation_config(base_cfg, variant) for variant in variants]
+def run_grid(cells, catalog, dataset, progress=None):
+    """Train each (labels, validated config) cell on shared data; one row per
+    cell: its labels, then every ensemble test metric."""
     rows = []
-    for variant, cfg in zip(variants, cfgs):
+    for labels, cfg in cells:
         result = train(cfg, catalog, dataset)
-        key = ensemble_key(result.model)
-        row = {"variant": variant}
-        row.update(result.test_metrics["branches"][key])
-        rows.append(row)
+        rows.append({**labels, **result.test_metrics["branches"][ensemble_key(result.model)]})
         if progress:
-            progress(variant, row)
+            progress(rows[-1])
     return rows
 
 

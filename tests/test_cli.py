@@ -111,6 +111,12 @@ def test_train_with_zero_epochs_says_so_and_exits_0(out_root, capsys):
     assert json.loads((run_dir / "metrics.json").read_text()) == {}
 
 
+@pytest.mark.parametrize("setting", ["data.n_items=0", "data.n_clusters=3000"])
+def test_train_dry_run_rejects_bad_data_sizes(setting, capsys):
+    assert main(["train", "--dry-run", "--set", setting]) == 1
+    assert "data.n_" in capsys.readouterr().err
+
+
 def test_unknown_config_key_fails_with_guidance(capsys):
     assert main(["train", "--dry-run", "--set", "model.width=4"]) == 1
     err = capsys.readouterr().err
@@ -169,6 +175,27 @@ def test_ablate_and_sweep_csv_layout(out_root, monkeypatch):
     for out_dir, name in ((ablate_dir, "ablation.csv"), (sweep_dir, "sweep.csv")):
         manifest = json.loads((out_dir / "run_manifest.json").read_text())
         assert manifest["outputs"] == [name]
+
+
+def test_sweep_csv_holds_every_ensemble_metric(out_root, monkeypatch):
+    """A grid row is its labels followed by every ensemble metric, so with two
+    eval.ks the sweep writes both recall/ndcg pairs."""
+    def train_two_ks(cfg, catalog, dataset, progress=None):
+        result = fake_train(cfg, catalog, dataset)
+        metrics = result.test_metrics["branches"]["ensemble"]
+        metrics.update({"recall@20": cfg.distill.alpha, "ndcg@20": 1.5})
+        return result
+
+    monkeypatch.setattr(trainer, "train", train_two_ks)
+    sweep_dir = out_root / "sweep"
+    assert main(["sweep", "--out", str(sweep_dir), *TINY, "--set", "eval.ks=[10,20]",
+                 "--T-values", "0.25", "--alpha-values", "30"]) == 0
+    assert (sweep_dir / "sweep.csv").read_text().splitlines() == [
+        "axis,T,alpha,recall@10,ndcg@10,recall@20,ndcg@20",
+        "none,,,0.5,3.0,20.0,1.5",
+        "T,0.25,20.0,0.25,3.0,20.0,1.5",
+        "alpha,0.5,30.0,0.5,3.0,30.0,1.5",
+    ]
 
 
 def test_sweep_dry_run_rejects_a_bad_cell(capsys):

@@ -67,6 +67,14 @@ BAD_SETTINGS = [
     ("data.item_noise", -0.1),
     ("data.row_noise", -0.3),
     ("data.n_pref", 0),
+    ("data.n_items", 0),
+    ("data.n_users", 0),
+    ("data.n_clusters", 0),
+    ("data.n_clusters", 2001),  # more clusters than the 2000 default items
+    ("data.n_v", 0),
+    ("data.n_t", -1),
+    ("data.d_v", 0),
+    ("data.d_t", 0),
 ]
 
 
@@ -89,7 +97,8 @@ def test_validate_keeps_boundary_values():
                        ("eval.val_users", 0), ("data.max_len", 3), ("model.item_layers", 0),
                        ("model.seq_layers", 0), ("train.patience", 1), ("data.p_intra", 1.0),
                        ("data.p_cold_last", 1.0), ("data.item_noise", 0.0),
-                       ("data.row_noise", 0.0), ("data.n_pref", 1)]:
+                       ("data.row_noise", 0.0), ("data.n_pref", 1),
+                       ("data.n_clusters", 2000)]:
         apply_setting(cfg, key, value)
     cfg.validate()
     apply_setting(cfg, "data.cold_frac", 0.0)
@@ -104,6 +113,11 @@ def test_max_len_and_item_depth_have_one_key_each():
     for removed in ("model.max_len=20", "model.separate_layers=1"):
         with pytest.raises(ValueError, match="unknown config key"):
             load_config(None, [removed])
+
+
+def test_sample_cut_is_no_longer_a_key():
+    with pytest.raises(ValueError, match="unknown config key 'train.sample_cut'"):
+        load_config(None, ["train.sample_cut=true"])
 
 
 def test_apply_setting_coercions():

@@ -32,6 +32,12 @@ def test_split_truncates_to_most_recent():
     assert ds.train == [seq[5:18]]
 
 
+@pytest.mark.parametrize("max_len", [2, 0, -4])
+def test_split_rejects_max_len_below_3(max_len):
+    with pytest.raises(ValueError, match=f"max_len must be at least 3, got {max_len}"):
+        split_leave_one_out([list(range(1, 11))], max_len=max_len)
+
+
 def test_split_filters_short_users():
     ds = split_leave_one_out([[0, 1, 2], [0, 1, 2, 3, 4, 5]])
     assert ds.n_users == 1
@@ -78,6 +84,16 @@ def test_generator_rejects_bad_sizes():
         generate_synthetic(n_items=4, n_clusters=8)
     with pytest.raises(ValueError):
         generate_synthetic(n_v=0)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n_pref", 0), ("p_intra", 1.5), ("n_clusters", 9), ("max_len", 2),
+])
+def test_generator_checks_its_fields_like_the_config(key, value):
+    """generate_synthetic validates its DataCfg through config.validate(), so a
+    direct call fails with the same message as `--set data.<key>=...`."""
+    with pytest.raises(ValueError, match=f"data.{key} must"):
+        generate_synthetic(**{"n_items": 8, "n_users": 4, "n_clusters": 2, key: value})
 
 
 def test_degenerate_clustering_gives_unique_features():
@@ -132,7 +148,7 @@ def test_single_cluster_content_cannot_beat_popularity():
 
 def test_batches_partition_and_exclusions():
     ds = split_leave_one_out([[i, 1, 2, 3, 4, 5] for i in range(10, 20)])
-    batches = list(make_batches(ds, 4, seed=0, sample_cut=False))
+    batches = list(make_batches(ds, 4, seed=0))
     assert [len(b.prefixes) for b in batches] == [4, 4, 2]
     for b in batches:
         for prefix, target, excl in zip(b.prefixes, b.targets, b.exclusion_sets):

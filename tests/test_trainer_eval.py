@@ -234,11 +234,12 @@ def test_step_loss_collaborative_report(tiny_data):
     catalog, dataset = tiny_data
     cfg = tiny_cfg()
     model = build_model(cfg, catalog)
-    total, report = step_loss(model, first_batch(dataset, cfg), dataset.pop, epoch=0)
-    assert set(report.ce) == {"v", "t", "id"}
-    assert set(report.kl) == {"v", "t", "id"}
-    assert report.ramp_w == 0.0  # ramp starts at zero
-    assert abs(report.total - sum(report.ce.values())) < 1e-9
+    total, row = step_loss(model, first_batch(dataset, cfg), dataset.pop, epoch=0)
+    ce = [row[f"ce_{m}"] for m in ("v", "t", "id")]
+    kl = [row[f"kl_{m}"] for m in ("v", "t", "id")]
+    assert all(v > 0.0 for v in ce + kl)
+    assert row["ramp_w"] == 0.0  # ramp starts at zero
+    assert abs(row["total"] - sum(ce)) < 1e-9
     total.backward()  # the combined loss must be differentiable end to end
 
 
@@ -246,21 +247,45 @@ def test_step_loss_late_fusion_single_ce(tiny_data):
     catalog, dataset = tiny_data
     cfg = tiny_cfg(train__fusion="late", distill__enabled=False)
     model = build_model(cfg, catalog)
-    _, report = step_loss(model, first_batch(dataset, cfg), dataset.pop, epoch=0)
-    assert set(report.ce) == {"ensemble"}
-    assert report.kl == {}
+    _, row = step_loss(model, first_batch(dataset, cfg), dataset.pop, epoch=0)
+    assert row["ce_ensemble"] > 0.0
+    assert row["ce_v"] == row["ce_t"] == row["ce_id"] == row["ce_fused"] == 0.0
+    assert row["kl_v"] == row["kl_t"] == row["kl_id"] == row["kl_row_mean"] == 0.0
 
 
 def test_step_loss_distillation_kicks_in_after_epoch_zero(tiny_data):
     catalog, dataset = tiny_data
     cfg = tiny_cfg(distill__alpha=4.0)
     model = build_model(cfg, catalog)
-    _, report = step_loss(model, first_batch(dataset, cfg), dataset.pop, epoch=2)
-    assert 0.0 < report.ramp_w < 1.0
-    assert abs(
-        report.total
-        - (sum(report.ce.values()) + report.ramp_w * sum(report.kl.values()))
-    ) < 1e-9
+    _, row = step_loss(model, first_batch(dataset, cfg), dataset.pop, epoch=2)
+    assert 0.0 < row["ramp_w"] < 1.0
+    ce = sum(row[f"ce_{m}"] for m in ("v", "t", "id"))
+    kl = sum(row[f"kl_{m}"] for m in ("v", "t", "id"))
+    assert abs(row["total"] - (ce + row["ramp_w"] * kl)) < 1e-9
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"train__fusion": "late"},
+    {"train__fusion": "early"},
+    {"model__branches": "id"},
+])
+def test_step_loss_row_holds_the_loss_columns(tiny_data, overrides):
+    """Every model path reports exactly the losscurve.csv columns but step
+    and epoch, so no loss is dropped when train() writes the row, and the
+    row's sums agree with its per-branch terms."""
+    catalog, dataset = tiny_data
+    cfg = tiny_cfg(**overrides)
+    model = build_model(cfg, catalog)
+    batch = first_batch(dataset, cfg)
+    _, row = step_loss(model, batch, dataset.pop, epoch=1)
+    assert set(row) == set(trainer.LOSS_COLUMNS) - {"step", "epoch"}
+    ce = sum(v for c, v in row.items() if c.startswith("ce_") and c != "ce_row_mean")
+    kl = sum(v for c, v in row.items() if c.startswith("kl_") and c != "kl_row_mean")
+    assert ce > 0.0 and row["ce_row_mean"] == pytest.approx(ce / len(batch.prefixes))
+    assert row["kl_row_mean"] == pytest.approx(kl)
+    assert row["total"] == pytest.approx(ce + row["ramp_w"] * kl)
+    assert (kl > 0.0) == (overrides == {})  # only collaborative fusion distills
 
 
 # -- evaluation ----------------------------------------------------------------------
@@ -398,11 +423,12 @@ def test_early_fusion_scores_the_embeddings_it_trains_on(tiny_data, branches):
     model = build_model(tiny_cfg(train__fusion="early", model__branches=branches), catalog)
     idx = np.array([5, 0, catalog.n_items - 1, 5, 17])
     embs = model.item_embeddings(idx)
-    mean = embs[model.branches[0]]
-    for b in model.branches[1:]:
+    branch_list = model.cfg.model.branch_list
+    mean = embs[branch_list[0]]
+    for b in branch_list[1:]:
         mean = nm.add(mean, embs[b])
     np.testing.assert_array_equal(
-        embs["fused"].data, nm.mul(mean, 1.0 / len(model.branches)).data
+        embs["fused"].data, nm.mul(mean, 1.0 / len(branch_list)).data
     )
     catalog_embs = trainer._all_item_embeddings(model, catalog.n_items)
     assert set(catalog_embs) == {"fused"}
@@ -466,7 +492,8 @@ def test_ablation_config_mapping():
 def test_ablation_full_row_matches_standalone_run(tiny_data):
     catalog, dataset = tiny_data
     cfg = tiny_cfg()
-    rows = trainer.run_ablation_matrix(cfg, catalog, dataset, variants=("full",))
+    cells = [({"variant": "full"}, ablation_config(cfg, "full"))]
+    rows = trainer.run_grid(cells, catalog, dataset)
     standalone = train(cfg, catalog, dataset)
     key = ensemble_key(standalone.model)
     expected = standalone.test_metrics["branches"][key]
