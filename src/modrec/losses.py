@@ -5,6 +5,7 @@ ramp-up schedule combining them."""
 from __future__ import annotations
 
 import functools
+import itertools
 import warnings
 
 import numpy as np
@@ -38,13 +39,18 @@ def exclusion_mask(exclusion_sets, candidates, target_cols):
     item also occurs in that row's history. Warns when a row then sees at
     most one column: its CE is exactly 0.
     """
-    cand_pos = {item: j for j, item in enumerate(candidates)}
-    mask = np.zeros((len(exclusion_sets), len(candidates)))
-    for i, excl in enumerate(exclusion_sets):
-        for item in excl:
-            j = cand_pos.get(item)
-            if j is not None and j != target_cols[i]:
-                mask[i, j] = MASKED
+    candidates = np.asarray(candidates, dtype=np.int64)
+    sizes = [len(excl) for excl in exclusion_sets]
+    items = np.fromiter(itertools.chain.from_iterable(exclusion_sets), dtype=np.int64,
+                        count=sum(sizes))
+    rows = np.repeat(np.arange(len(exclusion_sets)), sizes)
+    # item -> candidate column; -1 for items outside the candidates
+    col_of = np.full(max(items.max(initial=0), candidates.max(initial=0)) + 1, -1)
+    col_of[candidates] = np.arange(candidates.size)
+    cols = col_of[items]
+    keep = (cols >= 0) & (cols != np.asarray(target_cols)[rows])
+    mask = np.zeros((len(exclusion_sets), candidates.size))
+    mask[rows[keep], cols[keep]] = MASKED
     if np.any((mask == 0.0).sum(axis=1) <= 1):
         warnings.warn("row candidate set collapsed to the target alone (loss 0)")
     return mask

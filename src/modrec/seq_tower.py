@@ -2,7 +2,8 @@
 
 Sequences are right-padded; the user vector is the encoder output at the
 last real position. With a causal mask, right padding can never leak into
-real positions, so batched and one-by-one encodings agree exactly.
+real positions, so batched and one-by-one encodings agree to rounding only:
+the matrix products run on other shapes, and BLAS may sum in another order.
 """
 
 from __future__ import annotations

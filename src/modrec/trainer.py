@@ -4,7 +4,9 @@ grid runner behind the ablation matrix and the distillation sweep."""
 from __future__ import annotations
 
 import csv
+import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,10 +79,10 @@ def build_model(cfg, catalog):
 
 def _pad_rows(rows):
     """Right-pad item-id rows with 0 to a (B, T) index matrix plus real lengths."""
-    lengths = np.array([len(r) for r in rows], dtype=np.int64)
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
     idx = np.zeros((len(rows), int(lengths.max())), dtype=np.int64)
-    for i, r in enumerate(rows):
-        idx[i, : len(r)] = r
+    idx[np.arange(idx.shape[1]) < lengths[:, None]] = np.fromiter(
+        itertools.chain.from_iterable(rows), dtype=np.int64, count=int(lengths.sum()))
     return idx, lengths
 
 
@@ -145,19 +147,16 @@ def step_loss(model, batch, pop, epoch, drop=0.0, drop_rng=None):
 # -- metrics ----------------------------------------------------------------------
 
 
-def rank_full_catalog(scores, exclude, target):
-    """1-based rank of `target` in the descending ranking of the catalog
-    minus the excluded items; ties break by ascending item index."""
-    scores = np.asarray(scores, dtype=np.float64)
-    excluded = np.zeros(scores.size, dtype=bool)
-    if len(exclude):
-        excluded[np.fromiter(exclude, dtype=np.int64)] = True
-    if excluded[target]:
-        raise ValueError("target item must not be excluded")
+def rank_full_catalog(scores, target):
+    """1-based rank of `target` in the descending ranking of one catalog
+    score row whose excluded items hold -inf; ties break by ascending item
+    index. The row must hold no other non-finite value."""
     s_t = scores[target]
-    better = (scores > s_t) & ~excluded
-    tied = (scores == s_t) & ~excluded
-    return 1 + int(better.sum()) + int(tied[:target].sum())
+    if not math.isfinite(s_t):
+        raise ValueError(f"target score {s_t}: the target is excluded or its score is not finite")
+    # ahead of the target: a lower index scoring at least s_t, or a higher one above it
+    return 1 + int(np.count_nonzero(scores[:target] >= s_t)
+                   + np.count_nonzero(scores[target + 1 :] > s_t))
 
 
 def popularity_groups(pop, n_groups):
@@ -191,7 +190,11 @@ def evaluate(model, catalog, dataset, split="test", ks=(10, 20), n_groups=8, use
 
     split="val": input = train prefix, target = val item.
     split="test": input = prefix + val item, target = test item.
-    Every item of the input other than the target is excluded from the ranking.
+    Every item of the input other than the target is excluded from the ranking:
+    each chunk's score matrices get -inf at those (user, item) pairs, once for
+    all keys, and `rank_full_catalog` ranks each masked row. A non-finite
+    branch score raises `NonFiniteError` naming its key; the ensemble is
+    checked by the ops that form it.
     """
     if split not in ("val", "test"):
         raise ValueError(f"split must be val or test, got {split!r}")
@@ -203,8 +206,12 @@ def evaluate(model, catalog, dataset, split="test", ks=(10, 20), n_groups=8, use
     else:
         rows = [dataset.train[u] + [int(dataset.val[u])] for u in users]
         targets = dataset.test[users]
-    targets = targets.tolist()
-    excludes = [[x for x in row if x != t] for row, t in zip(rows, targets)]
+    idx_mat, lengths = _pad_rows(rows)
+    # the excluded (user, item) pairs, in user order: every item of the input
+    # row other than the target
+    pair_users, pos = np.nonzero((np.arange(idx_mat.shape[1]) < lengths[:, None])
+                                 & (idx_mat != targets[:, None]))
+    pair_items = idx_mat[pair_users, pos]
     target_groups = popularity_groups(dataset.pop, n_groups)[targets] if n_groups else None
 
     score_keys = list(model.seq_towers.keys())
@@ -212,14 +219,25 @@ def evaluate(model, catalog, dataset, split="test", ks=(10, 20), n_groups=8, use
     ranks = {key: np.zeros(len(users), dtype=np.int64) for key in report_keys}
 
     for start in range(0, len(users), EVAL_CHUNK):
+        stop = min(start + EVAL_CHUNK, len(users))
+        chunk_lengths = lengths[start:stop]
         with no_grad():
-            vecs = _user_vecs(model, item_embs, *_pad_rows(rows[start : start + EVAL_CHUNK]))
+            vecs = _user_vecs(model, item_embs, idx_mat[start:stop, : chunk_lengths.max()],
+                              chunk_lengths)
         branch_scores = {key: h.data @ item_embs[key].T for key, h in vecs.items()}
+        # checked before masking, so that -inf can only mean "excluded"
+        for key, scores in branch_scores.items():
+            if not np.isfinite(scores).all():
+                raise nm.NonFiniteError(f"non-finite {key} scores")
         if len(score_keys) > 1:
             branch_scores["ensemble"] = ls.ensemble_logits(branch_scores).data
+        lo, hi = np.searchsorted(pair_users, (start, stop))
+        excluded = (pair_users[lo:hi] - start, pair_items[lo:hi])
+        chunk_targets = targets[start:stop].tolist()
         for key, scores in branch_scores.items():
-            for i, score_row in enumerate(scores, start):
-                ranks[key][i] = rank_full_catalog(score_row, excludes[i], targets[i])
+            scores[excluded] = -np.inf
+            ranks[key][start:stop] = [rank_full_catalog(score_row, t)
+                                      for score_row, t in zip(scores, chunk_targets)]
 
     return _metrics_report(ranks, target_groups, ks, n_groups)
 

@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from modrec import datagen
 from modrec import numerics as nm
-from modrec.numerics import Tensor, _accum, _make, _wrap
+from modrec.numerics import MASKED, Tensor, _accum, _make, _wrap
 
 
 def finite_difference_check(build, params, h=1e-5, rtol=1e-4, atol=1e-7,
@@ -78,6 +79,28 @@ def recall_ndcg(rank, k):
     if rank > k:
         return 0.0, 0.0
     return 1.0, 1.0 / math.log2(rank + 1)
+
+
+def exclude_items(scores, items):
+    """A copy of one score row with -inf at the excluded `items`, the form in
+    which `evaluate` hands a row to `rank_full_catalog`."""
+    row = np.array(scores, dtype=np.float64)
+    row[list(items)] = -np.inf
+    return row
+
+
+def reference_exclusion_mask(exclusion_sets, candidates, target_cols):
+    """Reference for losses.exclusion_mask: one dict lookup per excluded item."""
+    cand_pos = {item: j for j, item in enumerate(candidates)}
+    mask = np.zeros((len(exclusion_sets), len(candidates)))
+    for i, excl in enumerate(exclusion_sets):
+        for item in excl:
+            j = cand_pos.get(item)
+            if j is not None and j != target_cols[i]:
+                mask[i, j] = MASKED
+    if np.any((mask == 0.0).sum(axis=1) <= 1):
+        warnings.warn("row candidate set collapsed to the target alone (loss 0)")
+    return mask
 
 
 def unrolled_gru_layer(x, lengths, Wxr, Whr, br, Wxz, Whz, bz, Wxn, Whn, bn):

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import finite_difference_check, recall_ndcg
+from conftest import exclude_items, finite_difference_check, recall_ndcg
 from modrec import datagen, losses as ls, numerics as nm, trainer
 from modrec.config import ExperimentConfig
 from modrec.datagen import Batch, Catalog
@@ -165,7 +165,7 @@ def test_criterion_4_metric_oracle():
         target = int(rng.choice([i for i in range(n) if i not in excl]))
         ordered = sorted((i for i in range(n) if i not in excl),
                          key=lambda i: (-scores[i], i))
-        rank = rank_full_catalog(scores, excl, target)
+        rank = rank_full_catalog(exclude_items(scores, excl), target)
         k = int(rng.integers(1, n + 1))
         recall, ndcg = recall_ndcg(rank, k)
         oracle_recall = float(target in ordered[:k])

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from conftest import reference_exclusion_mask
 from modrec import losses, numerics as nm
 from modrec.losses import (
     collaborative_ce,
@@ -87,6 +90,30 @@ def test_exclusion_mask_layout_and_target_protection():
     # items outside the candidate list are ignored
     mask2 = exclusion_mask([{42}], candidates=[5, 7, 9], target_cols=[0])
     assert np.all(mask2 == 0.0)
+
+
+def test_exclusion_mask_matches_the_reference_on_random_instances():
+    """Targets inside their own history, history items outside the candidate
+    set, duplicate items, sets and lists; the collapsed-row warning too."""
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        n_items, b = int(rng.integers(2, 40)), int(rng.integers(1, 12))
+        candidates = np.unique(rng.integers(0, n_items, size=int(rng.integers(1, 12))))
+        target_cols = rng.integers(0, candidates.size, size=b)
+        exclusion_sets = []
+        for i in range(b):
+            excl = rng.integers(0, n_items, size=int(rng.integers(0, 8))).tolist()
+            if rng.random() < 0.3:
+                excl.append(int(candidates[target_cols[i]]))
+            exclusion_sets.append(set(excl) if rng.random() < 0.5 else excl)
+        with warnings.catch_warnings(record=True) as got_warned:
+            warnings.simplefilter("always")
+            got = exclusion_mask(exclusion_sets, candidates.tolist(), target_cols)
+        with warnings.catch_warnings(record=True) as ref_warned:
+            warnings.simplefilter("always")
+            want = reference_exclusion_mask(exclusion_sets, candidates.tolist(), target_cols)
+        np.testing.assert_array_equal(got, want)
+        assert [str(w.message) for w in got_warned] == [str(w.message) for w in ref_warned]
 
 
 def test_excluded_columns_change_loss_by_exactly_zero():

@@ -1,9 +1,10 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import recall_ndcg, unrolled_gru_layer
+from conftest import exclude_items, recall_ndcg, unrolled_gru_layer
 from modrec import numerics as nm
 from modrec import trainer
 from modrec.config import ExperimentConfig
@@ -55,20 +56,23 @@ def test_recall_ndcg_spot_values():
 def test_rank_basic_order_and_exclusion():
     scores = np.array([0.1, 0.9, 0.5])
     # order 1, 2, 0; without item 1: 2, 0
-    assert [rank_full_catalog(scores, (), t) for t in (1, 2, 0)] == [1, 2, 3]
-    assert [rank_full_catalog(scores, {1}, t) for t in (2, 0)] == [1, 2]
+    assert [rank_full_catalog(scores, t) for t in (1, 2, 0)] == [1, 2, 3]
+    assert [rank_full_catalog(exclude_items(scores, {1}), t) for t in (2, 0)] == [1, 2]
 
 
 def test_rank_tie_break_by_item_index():
     scores = np.array([1.0, 2.0, 2.0, 0.0])
     # order 1, 2, 0, 3
-    assert [rank_full_catalog(scores, (), t) for t in (1, 2, 0, 3)] == [1, 2, 3, 4]
-    assert rank_full_catalog(scores, exclude={1}, target=2) == 1
+    assert [rank_full_catalog(scores, t) for t in (1, 2, 0, 3)] == [1, 2, 3, 4]
+    assert rank_full_catalog(exclude_items(scores, {1}), target=2) == 1
 
 
 def test_rank_rejects_excluded_target():
-    with pytest.raises(ValueError):
-        rank_full_catalog(np.ones(3), exclude={0}, target=0)
+    with pytest.raises(ValueError, match="excluded"):
+        rank_full_catalog(exclude_items(np.ones(3), {0}), target=0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="not finite"):
+            rank_full_catalog(np.array([1.0, bad, 0.0]), target=1)
 
 
 def test_rank_matches_brute_force_on_random_instances():
@@ -80,7 +84,7 @@ def test_rank_matches_brute_force_on_random_instances():
         excl = set(rng.choice(n, size=int(rng.integers(0, n - 1)), replace=False).tolist())
         target = int(rng.choice([i for i in range(n) if i not in excl]))
         ordered = sorted((i for i in range(n) if i not in excl), key=lambda i: (-scores[i], i))
-        rank = rank_full_catalog(scores, excl, target)
+        rank = rank_full_catalog(exclude_items(scores, excl), target)
         assert rank == ordered.index(target) + 1
         for k in (1, 5):
             metrics = trainer._metrics_for_ranks(np.array([rank]), [k])
@@ -352,6 +356,96 @@ def test_evaluate_ranks_match_per_user_brute_force(tiny_data, monkeypatch, split
                         lambda *args: seen.append(rank_full_catalog(*args)) or seen[-1])
     evaluate(model, catalog, dataset, split=split, n_groups=0, user_limit=len(users))
     assert seen == expected
+
+
+class ScoreRows:
+    """Stand-in sequence tower: hands out the rows of a fixed user-vector
+    matrix, one chunk per call, in the order `evaluate` asks for them."""
+
+    def __init__(self, vecs):
+        self.vecs, self.served = vecs, 0
+
+    def encode_batch(self, item_vecs, lengths, drop=0.0, rng=None):
+        out = self.vecs[self.served : self.served + len(lengths)]
+        self.served += len(lengths)
+        return nm.Tensor(out)
+
+
+@pytest.mark.parametrize("split", ["val", "test"])
+def test_evaluate_block_masking_matches_brute_force_on_ties(monkeypatch, split):
+    """Integer scores (many ties), rows with duplicate items and targets inside
+    their own row, several chunks: evaluate's exclusion pairs and per-chunk
+    masking, then one rank per row, give the brute-force sorted order."""
+    rng = np.random.default_rng(5)
+    n_users, n_items = 40, 30
+    # identity item embeddings: each key's scores are its user vectors exactly
+    vecs = {key: rng.integers(0, 4, size=(n_users, n_items)).astype(float) for key in "ab"}
+    model = SimpleNamespace(
+        seq_towers={key: ScoreRows(v) for key, v in vecs.items()},
+        item_embeddings=lambda idx, **kw: {key: nm.Tensor(np.eye(n_items)[idx]) for key in vecs},
+    )
+    train_rows = [rng.integers(0, n_items, size=int(rng.integers(1, 9))).tolist()
+                  for _ in range(n_users)]
+    val, test = rng.integers(0, n_items, size=(2, n_users))
+    for u in range(0, n_users, 3):  # a target inside its own input row
+        if split == "val":
+            val[u] = train_rows[u][-1]
+        else:
+            test[u] = train_rows[u][0]
+    dataset = SimpleNamespace(n_users=n_users, train=train_rows, val=val, test=test)
+    rows = train_rows if split == "val" else [r + [int(v)] for r, v in zip(train_rows, val)]
+    targets = val if split == "val" else test
+    assert any(len(set(r)) < len(r) for r in rows)  # duplicate items
+
+    scores = dict(vecs, ensemble=(vecs["a"] + vecs["b"]) * 0.5)
+    expected = []
+    for start in range(0, n_users, 7):  # evaluate's order: chunks, then keys, then users
+        for key_scores in scores.values():
+            for u in range(start, min(start + 7, n_users)):
+                s, row, t = key_scores[u], rows[u], targets[u]
+                visible = [j for j in range(n_items) if j == t or j not in row]
+                expected.append(sorted(visible, key=lambda j: (-s[j], j)).index(t) + 1)
+
+    seen = []
+    monkeypatch.setattr(trainer, "EVAL_CHUNK", 7)  # 6 chunks, the last one partial
+    monkeypatch.setattr(trainer, "rank_full_catalog",
+                        lambda *args: seen.append(rank_full_catalog(*args)) or seen[-1])
+    evaluate(model, SimpleNamespace(n_items=n_items), dataset, split=split, n_groups=0)
+    assert seen == expected
+
+
+@pytest.mark.parametrize("branches, key", [("id", "id"), ("v,t,id", "t")])
+def test_evaluate_names_the_key_whose_scores_overflow(tiny_data, monkeypatch, branches, key):
+    catalog, dataset = tiny_data
+    model = build_model(tiny_cfg(model__branches=branches), catalog)
+    unseen = max(set(range(catalog.n_items)).difference(*dataset.train, dataset.val))
+    # 1e300 user vectors against one 1e300 item row: that item's dot product overflows
+    inner_embs = trainer._all_item_embeddings
+
+    def huge_item(model, n_items):
+        embs = inner_embs(model, n_items)
+        embs[key][unseen] = 1e300
+        return embs
+
+    tower = model.seq_towers[key]
+    inner_encode = tower.encode_batch
+    monkeypatch.setattr(trainer, "_all_item_embeddings", huge_item)
+    monkeypatch.setattr(tower, "encode_batch",
+                        lambda *a, **kw: nm.mul(inner_encode(*a, **kw), 1e300))
+    with np.errstate(over="ignore"), pytest.raises(nm.NonFiniteError,
+                                                   match=f"non-finite {key} scores"):
+        evaluate(model, catalog, dataset, split="test", n_groups=0)
+
+
+def test_pad_rows_matches_a_per_row_copy():
+    rng = np.random.default_rng(2)
+    rows = [rng.integers(0, 50, size=int(rng.integers(1, 12))).tolist() for _ in range(30)]
+    idx, lengths = trainer._pad_rows(rows)
+    expected = np.zeros((len(rows), max(map(len, rows))), dtype=np.int64)
+    for i, r in enumerate(rows):
+        expected[i, : len(r)] = r
+    np.testing.assert_array_equal(idx, expected)
+    np.testing.assert_array_equal(lengths, [len(r) for r in rows])
 
 
 def test_val_and_test_splits_use_different_targets(tiny_data):

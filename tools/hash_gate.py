@@ -22,6 +22,10 @@ The configs are the nine ablation variants plus collaborative training
 with distillation off, early fusion (with and without the ID branch), late
 fusion, the dnn item tower, the recurrent backbone and the ID-only model.
 It takes about 20 s on a 2-vCPU VM, twice that with --against.
+
+BLAS runs on one thread, as in the benchmark: the loss curves depend on the
+BLAS thread count. The variables are set before numpy is imported, and the
+--against children inherit them.
 """
 
 from __future__ import annotations
@@ -36,7 +40,10 @@ import subprocess
 import sys
 import tempfile
 
-import numpy as np
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402  (after the BLAS thread pin)
 
 BASE = [
     "data.n_items=300", "data.n_users=300", "data.n_clusters=16", "model.d=16",
