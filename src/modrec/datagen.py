@@ -76,7 +76,7 @@ class InteractionDataset:
 class Batch:
     prefixes: list  # B train-prefix item lists
     targets: np.ndarray  # B positive item indices
-    exclusion_sets: list  # per row: set of items overlapping that row's prefix
+    exclusion_sets: list  # per row: set of the user's whole train history, past the cut too
 
 
 def generate_synthetic(seed=0, **params):

@@ -29,7 +29,7 @@ def debiased_scores(user_vecs, item_vecs, pop):
         )
     pop = np.asarray(pop, dtype=np.float64)
     correction = np.log(np.maximum(pop, 1.0))
-    return nm.sub(nm.matmul(user_vecs, nm.permute(item_vecs, (1, 0))), Tensor(correction))
+    return nm.linear(user_vecs, nm.permute(item_vecs, (1, 0)), Tensor(-correction))
 
 
 def exclusion_mask(exclusion_sets, candidates, target_cols):

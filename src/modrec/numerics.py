@@ -26,11 +26,13 @@ absorb (`var` in `layer_norm`; the scaled, masked scores in
 `masked_attention`, where softmax would turn a -inf into 0; each gate's
 pre-activation in `gru_layer`), and names it.
 
-In the backward pass a 2-D weight's gradient is one GEMM over all rows,
-`x.reshape(-1, d_in).T @ g.reshape(-1, d_out)`, in `linear` and `matmul`
-alike. A fresh gradient that its producer gives to no other node becomes
-its parent's gradient as it is (`_accum`); any other first one is copied.
-`take_rows` and `take_steps` scatter straight into their input's gradient.
+`linear` is the one product op with a weight: every such product of the
+model, the debiased training scores included, runs through it, and its
+weight's gradient is one GEMM over all rows, `x.reshape(-1, d_in).T @
+g.reshape(-1, d_out)`. A fresh gradient that its producer gives to no
+other node becomes its parent's gradient as it is (`_accum`); any other
+first one is copied. `take_rows` and `take_steps` scatter straight into
+their input's gradient.
 """
 
 from __future__ import annotations
@@ -392,34 +394,11 @@ def log_softmax(a, axis=-1):
 # -- composites used across the model ----------------------------------------------
 
 
-def matmul(a, b):
-    a, b = _wrap(a), _wrap(b)
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ValueError("matmul operands must have ndim >= 2")
-
-    def bwd(g):
-        if a.requires_grad:
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            _accum(a, _unbroadcast(ga, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _weight_grad(a.data, b.data, g))
-
-    return _make(np.matmul(a.data, b.data), (a, b), bwd)
-
-
-def _weight_grad(x, W, g):
-    """The gradient of W in x @ W, given g, the gradient of the product. A
-    2-D W gets one GEMM over all rows of x, not one per batch entry."""
-    if W.ndim == 2:
-        return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-    return _unbroadcast(np.matmul(np.swapaxes(x, -1, -2), g), W.shape)
-
-
 def linear(x, W, b):
-    """x @ W + b; the arithmetic of add(matmul(x, W), b)."""
+    """x @ W + b for a 2-D W; the arithmetic of add(matmul(x, W), b)."""
     x, W, b = _wrap(x), _wrap(W), _wrap(b)
-    if x.data.ndim < 2 or W.data.ndim < 2:
-        raise ValueError("matmul operands must have ndim >= 2")
+    if x.data.ndim < 2 or W.data.ndim != 2:
+        raise ValueError("linear needs x with ndim >= 2 and a 2-D W")
     out_data = np.matmul(x.data, W.data)
     out_data += b.data
 
@@ -427,10 +406,9 @@ def linear(x, W, b):
         if b.requires_grad:
             _accum(b, _unbroadcast(g, b.data.shape))
         if x.requires_grad:
-            gx = np.matmul(g, np.swapaxes(W.data, -1, -2))
-            _accum(x, _unbroadcast(gx, x.data.shape), fresh=True)
+            _accum(x, np.matmul(g, W.data.T), fresh=True)
         if W.requires_grad:
-            _accum(W, _weight_grad(x.data, W.data, g))
+            _accum(W, x.data.reshape(-1, x.data.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
 
     # Parent order makes the graph walk visit b, W, x as it did the chain.
     return _make(out_data, (x, W, b), bwd)
@@ -495,7 +473,7 @@ def masked_attention(q, k, v, mask, scale):
     """
     q, k, v = _wrap(q), _wrap(k), _wrap(v)
     if q.data.ndim < 2 or k.data.ndim < 2:
-        raise ValueError("matmul operands must have ndim >= 2")
+        raise ValueError("masked_attention needs q and k with ndim >= 2")
     scale = _wrap(scale).data
     kt = np.swapaxes(k.data, -1, -2)
     scores = np.matmul(q.data, kt)

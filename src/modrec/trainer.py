@@ -193,8 +193,8 @@ def evaluate(model, catalog, dataset, split="test", ks=(10, 20), n_groups=8, use
     Every item of the input other than the target is excluded from the ranking:
     each chunk's score matrices get -inf at those (user, item) pairs, once for
     all keys, and `rank_full_catalog` ranks each masked row. A non-finite
-    branch score raises `NonFiniteError` naming its key; the ensemble is
-    checked by the ops that form it.
+    score of a branch or of the ensemble raises `NonFiniteError` naming its
+    key.
     """
     if split not in ("val", "test"):
         raise ValueError(f"split must be val or test, got {split!r}")
@@ -225,12 +225,13 @@ def evaluate(model, catalog, dataset, split="test", ks=(10, 20), n_groups=8, use
             vecs = _user_vecs(model, item_embs, idx_mat[start:stop, : chunk_lengths.max()],
                               chunk_lengths)
         branch_scores = {key: h.data @ item_embs[key].T for key, h in vecs.items()}
+        if len(score_keys) > 1:  # ls.ensemble_logits' arithmetic: ((s0 + s1) + s2) * (1/n)
+            s0, *rest = branch_scores.values()
+            branch_scores["ensemble"] = sum(rest, s0) * (1.0 / len(score_keys))
         # checked before masking, so that -inf can only mean "excluded"
         for key, scores in branch_scores.items():
             if not np.isfinite(scores).all():
                 raise nm.NonFiniteError(f"non-finite {key} scores")
-        if len(score_keys) > 1:
-            branch_scores["ensemble"] = ls.ensemble_logits(branch_scores).data
         lo, hi = np.searchsorted(pair_users, (start, stop))
         excluded = (pair_users[lo:hi] - start, pair_items[lo:hi])
         chunk_targets = targets[start:stop].tolist()

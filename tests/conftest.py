@@ -6,7 +6,7 @@ import pytest
 
 from modrec import datagen
 from modrec import numerics as nm
-from modrec.numerics import MASKED, Tensor, _accum, _make, _wrap
+from modrec.numerics import MASKED, Tensor, _accum, _make, _unbroadcast, _wrap
 
 
 def finite_difference_check(build, params, h=1e-5, rtol=1e-4, atol=1e-7,
@@ -39,6 +39,27 @@ def finite_difference_check(build, params, h=1e-5, rtol=1e-4, atol=1e-7,
 
 # Reference ops: no model path runs them, but the primitive chains below and
 # in test_numerics.py, which the fused ops must match, are built from them.
+
+
+def matmul(a, b):
+    """a @ b with numpy broadcasting; the product in the chains that
+    `linear`, `masked_attention` and `gru_layer` stand in for."""
+    a, b = _wrap(a), _wrap(b)
+    if a.data.ndim < 2 or b.data.ndim < 2:
+        raise ValueError("matmul operands must have ndim >= 2")
+
+    def bwd(g):
+        if a.requires_grad:
+            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
+            _accum(a, _unbroadcast(ga, a.data.shape))
+        if b.requires_grad:
+            if b.data.ndim == 2:  # one GEMM over all rows, as in linear
+                gb = a.data.reshape(-1, a.data.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            else:
+                gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)
+            _accum(b, gb)
+
+    return _make(np.matmul(a.data, b.data), (a, b), bwd)
 
 
 def powc(a, p):
@@ -111,9 +132,9 @@ def unrolled_gru_layer(x, lengths, Wxr, Whr, br, Wxz, Whz, bz, Wxn, Whn, bn):
     states = []
     for step in range(t):
         xt = nm.take_steps(x, np.full(b, step))
-        r = sigmoid(nm.add(nm.add(nm.matmul(xt, Wxr), nm.matmul(h, Whr)), br))
-        z = sigmoid(nm.add(nm.add(nm.matmul(xt, Wxz), nm.matmul(h, Whz)), bz))
-        n = tanh(nm.add(nm.add(nm.matmul(xt, Wxn), nm.mul(r, nm.matmul(h, Whn))), bn))
+        r = sigmoid(nm.add(nm.add(matmul(xt, Wxr), matmul(h, Whr)), br))
+        z = sigmoid(nm.add(nm.add(matmul(xt, Wxz), matmul(h, Whz)), bz))
+        n = tanh(nm.add(nm.add(matmul(xt, Wxn), nm.mul(r, matmul(h, Whn))), bn))
         h_next = nm.add(nm.mul(nm.sub(1.0, z), n), nm.mul(z, h))
         alive = Tensor((np.asarray(lengths) > step).astype(np.float64)[:, None])
         h = nm.add(nm.mul(alive, h_next), nm.mul(nm.sub(1.0, alive), h))

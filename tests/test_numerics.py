@@ -1,10 +1,13 @@
 import contextlib
 import inspect
+import itertools
 
 import numpy as np
 import pytest
 
-from conftest import finite_difference_check, powc, sigmoid, tanh, unrolled_gru_layer
+from conftest import (finite_difference_check, matmul, powc, sigmoid, tanh,
+                      unrolled_gru_layer)
+from modrec import losses as ls
 from modrec import numerics as nm
 from modrec import trainer
 from modrec.blocks import TransformerLayer
@@ -35,10 +38,10 @@ PRIMITIVES = {
     "add": lambda a, b: nm.add(a, b),
     "sub": lambda a, b: nm.sub(a, b),
     "mul": lambda a, b: nm.mul(a, b),
-    "matmul": lambda a, b: nm.matmul(a, _swap_last(b)),
     "softmax": lambda a, b: nm.mul(nm.softmax(a), b),
     "logsumexp": lambda a, b: nm.logsumexp(nm.mul(a, b), axis=-1, keepdims=True),
     # reference ops from conftest, which the chains below are built from
+    "matmul": lambda a, b: matmul(a, _swap_last(b)),
     "tanh": lambda a, b: tanh(nm.mul(a, b)),
     "sigmoid": lambda a, b: sigmoid(nm.add(a, b)),
     "leaky_relu": lambda a, b: nm.leaky_relu(a, 0.01),
@@ -223,12 +226,59 @@ def test_every_public_op_runs_in_a_model_path(tiny_data):
     assert not missing, f"public ops that no model path runs: {sorted(missing)}"
 
 
+@pytest.mark.parametrize("path", sorted(MODEL_PATHS))
+def test_step_loss_gradients_match_finite_differences(tiny_data, path):
+    """One training step of each model path, distillation ramped in: its
+    logits against scores from the whole catalog's embeddings, and the
+    gradient of its loss against central differences at a coordinate of
+    every Parameter."""
+    catalog, dataset = tiny_data
+    cfg = with_overrides(ExperimentConfig(), [
+        "model.d=8", "model.item_layers=1", "model.seq_layers=1", "model.dropout=0",
+        "train.batch_size=6", "distill.alpha=2"] + MODEL_PATHS[path])
+    model = trainer.build_model(cfg, catalog)
+    batch = next(make_batches(dataset, cfg.train.batch_size, seed=0))
+    epoch = 1
+    assert 0.0 < ls.ramp_weight(epoch, cfg.distill.alpha) < 1.0
+    logits, _ = trainer._branch_logits(model, batch, dataset.pop)
+    base = {key: z.data for key, z in logits.items()}
+
+    # _branch_logits maps items to rows of the batch's own embeddings; here
+    # the catalog's embeddings are indexed by item id
+    with nm.no_grad():
+        embs = model.item_embeddings(np.arange(catalog.n_items))
+        vecs = trainer._user_vecs(model, embs, *trainer._pad_rows(batch.prefixes))
+    cands = np.unique(batch.targets)
+    hidden = np.array([[c != t and c in excl for c in cands]
+                       for excl, t in zip(batch.exclusion_sets, batch.targets)])
+    for key, h in vecs.items():
+        scores = h.data @ embs[key].data[cands].T - np.log(np.maximum(dataset.pop[cands], 1.0))
+        np.testing.assert_array_equal(base[key] == MASKED, hidden)
+        np.testing.assert_allclose(base[key][~hidden], scores[~hidden], rtol=1e-10, atol=1e-12)
+
+    def loss():
+        return trainer.step_loss(model, batch, dataset.pop, epoch)[0]
+
+    # The teachers are stop-gradients, so the oracle holds them at the base
+    # point, as criterion 1 does: the ID logits teach v and t, the branch
+    # mean teaches id, in distill_bundle's order.
+    live = loss().item()
+    teachers = itertools.cycle(
+        [base["id"], base["id"], np.mean(list(base.values()), axis=0)] if len(base) == 3 else [])
+    distill_kl = ls.distill_kl
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ls, "distill_kl",
+                   lambda teacher, student, t: distill_kl(Tensor(next(teachers)), student, t))
+        assert abs(loss().item() - live) < 1e-10
+        finite_difference_check(loss, model.params(), max_coords=1)
+
+
 def test_batched_matmul_gradients():
     rng = np.random.default_rng(3)
     a = _param(rng, (4, 3, 5), "a")
     b = _param(rng, (5, 2), "b")
     w = Tensor(rng.normal(size=(4, 3, 2)))
-    finite_difference_check(lambda: nm.tsum(nm.mul(nm.matmul(a, b), w)), [a, b])
+    finite_difference_check(lambda: nm.tsum(nm.mul(matmul(a, b), w)), [a, b])
 
 
 def test_layer_norm_gradients():
@@ -282,7 +332,7 @@ def test_take_rows_and_take_steps_gradients():
 
 
 def chain_linear(x, W, b):
-    return nm.add(nm.matmul(x, W), b)
+    return nm.add(matmul(x, W), b)
 
 
 def chain_relu(a):
@@ -298,10 +348,10 @@ def chain_layer_norm(x, gamma, beta, eps=1e-5):
 
 
 def chain_masked_attention(q, k, v, mask, scale):
-    scores = nm.mul(nm.matmul(q, _swap_last(k)), scale)
+    scores = nm.mul(matmul(q, _swap_last(k)), scale)
     if mask is not None:
         scores = nm.add(scores, mask)
-    return nm.matmul(nm.softmax(scores, axis=-1), v)
+    return matmul(nm.softmax(scores, axis=-1), v)
 
 
 def chain_dropout(x, p, rng):
@@ -525,11 +575,11 @@ OVERFLOW_CASES = {
     "add": (nm.add, [BIG, BIG]),
     "sub": (nm.sub, [BIG, -BIG]),
     "mul": (nm.mul, [BIG, BIG]),
-    "matmul": (nm.matmul, [BIG, BIG]),
     "linear": (nm.linear, [BIG, BIG, np.zeros(2)]),
     "tsum": (nm.tsum, [BIG]),
     "tmean": (nm.tmean, [BIG]),
-    # the reference op checks its output like the ops it stands in for
+    # the reference ops check their output like the ops they stand in for
+    "matmul": (matmul, [BIG, BIG]),
     "powc": (lambda a: powc(a, 2.0), [BIG]),
     # keep is 0 or 2, and rng 0 keeps some of the 4 entries
     "dropout": (lambda a: nm.dropout(a, 0.5, np.random.default_rng(0)), [BIG]),
@@ -596,12 +646,20 @@ def test_transformer_layer_gradients_share_no_memory():
             assert not np.shares_memory(a, b)
 
 
+@pytest.mark.parametrize("x, W", [(np.ones(3), np.ones((3, 2))),
+                                  (np.ones((2, 3)), np.ones((2, 3, 2)))],
+                         ids=["1d_x", "3d_W"])
+def test_linear_rejects_operands_of_the_wrong_rank(x, W):
+    with pytest.raises(ValueError, match="2-D W"):
+        nm.linear(x, W, np.zeros(2))
+
+
 @pytest.mark.parametrize("op", ["linear", "matmul"])
 def test_weight_gradient_matches_a_per_row_reference(op):
     rng = np.random.default_rng(13)
     x, g = rng.normal(size=(7, 5, 8)), rng.normal(size=(7, 5, 12))
     W = _param(rng, (8, 12), "W")
-    out = nm.linear(x, W, np.zeros(12)) if op == "linear" else nm.matmul(x, W)
+    out = nm.linear(x, W, np.zeros(12)) if op == "linear" else matmul(x, W)
     nm.tsum(nm.mul(out, Tensor(g))).backward()
     reference = np.zeros((8, 12))
     for x_row, g_row in zip(x.reshape(-1, 8), g.reshape(-1, 12)):
@@ -707,7 +765,7 @@ def test_deterministic_loss_trajectory():
         losses = []
         for _ in range(5):
             opt.zero_grad()
-            loss = nm.tsum(nm.mul(nm.matmul(p, x), nm.matmul(p, x)))
+            loss = nm.tsum(nm.mul(matmul(p, x), matmul(p, x)))
             loss.backward()
             opt.step()
             losses.append(loss.item())

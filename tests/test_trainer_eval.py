@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -414,24 +415,30 @@ def test_evaluate_block_masking_matches_brute_force_on_ties(monkeypatch, split):
     assert seen == expected
 
 
-@pytest.mark.parametrize("branches, key", [("id", "id"), ("v,t,id", "t")])
+@pytest.mark.parametrize("branches, key",
+                         [("id", "id"), ("v,t,id", "t"), ("v,t,id", "ensemble")])
 def test_evaluate_names_the_key_whose_scores_overflow(tiny_data, monkeypatch, branches, key):
     catalog, dataset = tiny_data
     model = build_model(tiny_cfg(model__branches=branches), catalog)
     unseen = max(set(range(catalog.n_items)).difference(*dataset.train, dataset.val))
-    # 1e300 user vectors against one 1e300 item row: that item's dot product overflows
+    keys = list(model.seq_towers) if key == "ensemble" else [key]
+    d = model.cfg.model.d
+    # user vectors of s against one item row of s give that item the score
+    # d * s^2: for one key it overflows; for the ensemble it is 1e308 in each
+    # branch, finite, and the branches' sum overflows
+    s = math.sqrt(1e308 / d) if key == "ensemble" else 1e300
     inner_embs = trainer._all_item_embeddings
 
     def huge_item(model, n_items):
         embs = inner_embs(model, n_items)
-        embs[key][unseen] = 1e300
+        for k in keys:
+            embs[k][unseen] = s
         return embs
 
-    tower = model.seq_towers[key]
-    inner_encode = tower.encode_batch
     monkeypatch.setattr(trainer, "_all_item_embeddings", huge_item)
-    monkeypatch.setattr(tower, "encode_batch",
-                        lambda *a, **kw: nm.mul(inner_encode(*a, **kw), 1e300))
+    for k in keys:
+        monkeypatch.setattr(model.seq_towers[k], "encode_batch",
+                            lambda x, lengths, **kw: nm.Tensor(np.full((len(lengths), d), s)))
     with np.errstate(over="ignore"), pytest.raises(nm.NonFiniteError,
                                                    match=f"non-finite {key} scores"):
         evaluate(model, catalog, dataset, split="test", n_groups=0)
