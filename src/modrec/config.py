@@ -6,6 +6,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 from .item_tower import _STACKS, ID_INIT_MODES
@@ -131,6 +132,9 @@ class ExperimentConfig:
 
     def validate(self):
         flat = self.to_flat()
+        for key, value in flat.items():  # json.loads reads Infinity and 1e999 as inf
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value!r}")
         for key, accepts, requirement in RULES:
             if not accepts(flat[key]):
                 raise ValueError(f"{key} must be {requirement}, got {flat[key]!r}")

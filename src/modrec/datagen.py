@@ -248,7 +248,9 @@ def _read_f64(path, shape):
 
 
 def load_interactions(catalog_dir):
-    """Read interactions.csv into per-user chronological item lists."""
+    """Read interactions.csv into per-user chronological item lists. The
+    sort is stable: events of one user with equal timestamps keep their
+    file order."""
     path = os.path.join(catalog_dir, "interactions.csv")
     if not os.path.exists(path):
         raise FileNotFoundError(f"missing interactions file {path}")

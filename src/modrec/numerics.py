@@ -33,6 +33,13 @@ g.reshape(-1, d_out)`. A fresh gradient that its producer gives to no
 other node becomes its parent's gradient as it is (`_accum`); any other
 first one is copied. `take_rows` and `take_steps` scatter straight into
 their input's gradient.
+
+`Tensor.backward` consumes the graph it walks: each op node drops its
+backward closure and its parents once its gradient has been passed on, so
+the arrays the closure saved are freed during the walk, and a second
+backward through a consumed node raises `RuntimeError`. Closures save what
+their backward reads and no more: `dropout` keeps its mask as bools and
+`layer_norm` recomputes `xhat`, each with the forward's expression.
 """
 
 from __future__ import annotations
@@ -73,7 +80,9 @@ def _check_finite(data, what="tensor value"):
 
 
 class Tensor:
-    """Immutable dense float64 array node in the computation graph."""
+    """Immutable dense float64 array node in the computation graph. An op's
+    output holds its parents and backward closure until a backward pass
+    consumes them (both become None); a leaf has parents ()."""
 
     __slots__ = ("data", "grad", "_parents", "_backward", "requires_grad")
     _check = True  # off only in _Rearranged
@@ -100,7 +109,10 @@ class Tensor:
     # -- graph execution ---------------------------------------------------
 
     def backward(self):
-        """Accumulate gradients of this scalar into all reachable nodes."""
+        """Accumulate gradients of this scalar into all reachable leaves and
+        consume the graph: each op node is released as it passes its gradient
+        on. Leaves and every Tensor's `.data` are kept; a second backward
+        through a consumed node raises `RuntimeError`."""
         if self.data.size != 1:
             raise ValueError("backward root must be a scalar")
         if not self.requires_grad:
@@ -115,18 +127,23 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._parents is None:
+                raise RuntimeError("backward through a graph that an earlier backward consumed")
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if p.requires_grad and id(p) not in visited:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None:
-                # an op may hand its g over to a parent; the root keeps its own
-                node._backward(node.grad.copy() if node is self else node.grad)
-            if node is not self and node._parents:
-                node.grad = None  # free intermediates; leaves keep theirs
+        while topo:
+            node = topo.pop()
+            if not node._parents:
+                continue  # a leaf keeps its gradient
+            # an op may hand its g over to a parent; the root keeps its own
+            node._backward(node.grad.copy() if node is self else node.grad)
+            node._backward = node._parents = None
+            if node is not self:
+                node.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -440,8 +457,8 @@ def layer_norm(x, gamma, beta):
     def bwd(g):
         if beta.requires_grad:
             _accum(beta, _unbroadcast(g, beta.data.shape))
-        if gamma.requires_grad:
-            _accum(gamma, _unbroadcast(g * xhat, gamma.data.shape))
+        if gamma.requires_grad:  # xhat = xc * inv again, not kept
+            _accum(gamma, _unbroadcast(g * (xc * inv), gamma.data.shape))
         if not x.requires_grad:
             return
         g_xhat = g * gamma.data
@@ -524,13 +541,13 @@ def dropout(x, p, rng, rows=None, length=None):
     else:
         n = x.data.shape[0]
         u = rng.random((n, length) + x.data.shape[2:])[np.arange(n)[:, None], rows]
-    # At p == 1 every keep entry, so every output entry, is inf or nan.
-    keep = (u >= p) / (1.0 - p)
+    kept = u >= p  # saved as bools; the scaled mask is made again in backward
 
     def bwd(g):
-        _accum(x, g * keep, fresh=True)
+        _accum(x, g * (kept / (1.0 - p)), fresh=True)
 
-    return _make(x.data * keep, (x,), bwd)
+    # At p == 1 every output entry is inf or nan.
+    return _make(x.data * (kept / (1.0 - p)), (x,), bwd)
 
 
 def gru_layer(x, lengths, Wxr, Whr, br, Wxz, Whz, bz, Wxn, Whn, bn):

@@ -47,6 +47,11 @@ class Model(Module):
         return {p.name: p.data.copy() for p in self.params()}
 
     def load_state(self, state):
+        names = {p.name for p in self.params()}
+        extra = [name for name in state if name not in names]
+        if extra:
+            raise ValueError(f"checkpoint holds {len(extra)} parameters this model lacks, "
+                             f"first {', '.join(extra[:3])}")
         for p in self.params():
             if p.name not in state:
                 raise KeyError(f"checkpoint missing parameter {p.name}")

@@ -96,6 +96,16 @@ def test_eval_names_a_non_finite_checkpoint_parameter(out_root, capsys):
     assert err.startswith("error:") and "item.proj_v.W" in err
 
 
+def test_eval_rejects_a_checkpoint_of_a_deeper_model(out_root, capsys):
+    run_dir = out_root / "deep"
+    deeper = ["--set", "model.item_layers=2", "--set", "model.seq_layers=2"]
+    assert main(["train", "--out", str(run_dir), *TINY, *deeper]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(run_dir / "checkpoint.npz"), *TINY]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: checkpoint holds") and "model lacks" in err
+
+
 def test_losscurve_columns(out_root):
     run_dir = out_root / "run2"
     assert main(["train", "--out", str(run_dir), *TINY]) == 0
@@ -115,6 +125,13 @@ def test_train_with_zero_epochs_says_so_and_exits_0(out_root, capsys):
 def test_train_dry_run_rejects_bad_data_sizes(setting, capsys):
     assert main(["train", "--dry-run", "--set", setting]) == 1
     assert "data.n_" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting", ["distill.T=Infinity", "train.lr=1e999"])
+def test_train_dry_run_rejects_a_non_finite_number(setting, capsys):
+    assert main(["train", "--dry-run", "--set", setting]) == 1
+    key = setting.partition("=")[0]
+    assert f"{key} must be finite, got inf" in capsys.readouterr().err
 
 
 def test_unknown_config_key_fails_with_guidance(capsys):

@@ -75,6 +75,13 @@ BAD_SETTINGS = [
     ("data.n_t", -1),
     ("data.d_v", 0),
     ("data.d_t", 0),
+    # json.loads reads Infinity and 1e999 as inf; lower bounds alone pass it
+    ("distill.T", float("inf")),
+    ("distill.alpha", float("inf")),
+    ("train.lr", float("inf")),
+    ("data.item_noise", float("inf")),
+    ("data.row_noise", float("inf")),
+    ("data.cold_frac", float("nan")),
 ]
 
 

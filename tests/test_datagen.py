@@ -186,6 +186,17 @@ def test_catalog_roundtrip(tmp_path):
     assert ds2.sequences == ds.sequences
 
 
+def test_equal_timestamps_keep_their_file_order(tmp_path):
+    header = "user_id,item_id,timestamp\n"
+    lines = ["0,5,1\n", "0,7,0\n", "0,3,2\n", "0,4,2\n", "1,2,0\n"]
+    path = tmp_path / "interactions.csv"
+    path.write_text(header + "".join(lines))
+    assert datagen.load_interactions(tmp_path) == [[7, 5, 3, 4], [2]]
+    lines[2], lines[3] = lines[3], lines[2]
+    path.write_text(header + "".join(lines))
+    assert datagen.load_interactions(tmp_path) == [[7, 5, 4, 3], [2]]
+
+
 def test_loader_detects_shape_mismatch(tmp_path):
     catalog, ds = generate_synthetic(n_items=10, n_users=20, n_clusters=2, seed=4,
                                      n_v=2, n_t=2, d_v=4, d_t=4)

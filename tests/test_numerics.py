@@ -1,6 +1,7 @@
 import contextlib
 import inspect
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -695,6 +696,48 @@ def test_repeated_backward_accumulates():
     np.testing.assert_array_equal(p.grad, [[8.0]])
     p.zero_grad()
     np.testing.assert_array_equal(p.grad, [[0.0]])
+
+
+def test_second_backward_through_a_consumed_graph_raises():
+    p = Parameter(np.array([[2.0, 3.0]]), "p")
+    mid = nm.mul(p, p)
+    root = nm.tsum(mid)
+    root.backward()
+    with pytest.raises(RuntimeError, match="consumed"):
+        root.backward()
+    with pytest.raises(RuntimeError, match="consumed"):  # mid reused in a new graph
+        nm.tsum(nm.add(mid, 1.0)).backward()
+    np.testing.assert_array_equal(p.grad, [[4.0, 6.0]])  # neither walk passed a gradient
+    np.testing.assert_array_equal(mid.data, [[4.0, 9.0]])  # a held Tensor keeps its data
+
+
+def _numpy_bytes():
+    """NumPy array memory that tracemalloc traces now."""
+    snap = tracemalloc.take_snapshot().filter_traces(
+        [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+    return sum(t.size for t in snap.traces)
+
+
+def test_backward_frees_the_graph_it_walks(tiny_data):
+    """After an imt training step and its backward, with the loss still
+    referenced as `train` holds it, NumPy memory is back to its level before
+    the step: the graph and every array it saved are gone."""
+    catalog, dataset = tiny_data
+    cfg = with_overrides(ExperimentConfig(), ["train.batch_size=32"])
+    model = trainer.build_model(cfg, catalog)
+    batch = next(make_batches(dataset, cfg.train.batch_size, seed=0))
+    tracemalloc.start()
+    try:
+        before = _numpy_bytes()
+        total, _ = trainer.step_loss(model, batch, dataset.pop, epoch=1,
+                                     drop=cfg.model.dropout, drop_rng=np.random.default_rng(0))
+        graph = _numpy_bytes() - before
+        total.backward()
+        left = _numpy_bytes() - before
+    finally:
+        tracemalloc.stop()
+    assert graph > 8 * 2**20  # the bound below is far below the graph's size
+    assert left < 2**20, f"{left} bytes of the step's graph are still held"
 
 
 def test_detach_stops_gradient():

@@ -194,6 +194,20 @@ def test_state_roundtrip_and_mismatch_errors(tiny_data):
         model.load_state(bad)
 
 
+def test_load_state_rejects_parameters_the_model_lacks(tiny_data):
+    # a deeper model's checkpoint holds every parameter of a shallower one
+    catalog, _ = tiny_data
+    deep = build_model(tiny_cfg(model__item_layers=2, model__seq_layers=2), catalog).state()
+    model = build_model(tiny_cfg(), catalog)
+    before = model.state()
+    extra = [name for name in deep if name not in before]
+    assert extra and before.keys() < deep.keys()
+    with pytest.raises(ValueError, match=f"holds {len(extra)} parameters .* first {extra[0]}"):
+        model.load_state(deep)
+    for name, data in model.state().items():  # nothing was loaded
+        np.testing.assert_array_equal(data, before[name])
+
+
 def test_checkpoint_roundtrip(tmp_path, tiny_data):
     catalog, _ = tiny_data
     model = build_model(tiny_cfg(), catalog)
