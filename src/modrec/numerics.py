@@ -34,12 +34,16 @@ other node becomes its parent's gradient as it is (`_accum`); any other
 first one is copied. `take_rows` and `take_steps` scatter straight into
 their input's gradient.
 
-`Tensor.backward` consumes the graph it walks: each op node drops its
-backward closure and its parents once its gradient has been passed on, so
-the arrays the closure saved are freed during the walk, and a second
-backward through a consumed node raises `RuntimeError`. Closures save what
-their backward reads and no more: `dropout` keeps its mask as bools and
-`layer_norm` recomputes `xhat`, each with the forward's expression.
+Graph edges hold nodes, not data. An op's output Tensor holds its `.data`
+and a `_Node`: the parents' nodes, the backward closure and the gradient; a
+leaf that requires grad is its own node. The walk calls each closure with
+its gradient and its parents' nodes, and a closure keeps only the arrays its
+backward reads: x and W for `linear`, q, k, v and the probabilities for
+`masked_attention`, both operands for `mul`, a bool mask for `dropout`
+(`layer_norm` recomputes `xhat`). So an output's data lives only while the
+caller or such a closure holds it. `Tensor.backward` consumes the graph:
+each node drops its closure and parents once its gradient is passed on, and
+a second backward through a consumed node raises `RuntimeError`.
 """
 
 from __future__ import annotations
@@ -80,31 +84,32 @@ def _check_finite(data, what="tensor value"):
 
 
 class Tensor:
-    """Immutable dense float64 array node in the computation graph. An op's
-    output holds its parents and backward closure until a backward pass
-    consumes them (both become None); a leaf has parents ()."""
+    """Immutable dense float64 array. A leaf that requires grad is its own
+    graph node and keeps its gradient in `.grad`; an op's output points at
+    its `_Node` instead, and has a `.grad` only as the root of a backward."""
 
-    __slots__ = ("data", "grad", "_parents", "_backward", "requires_grad")
+    __slots__ = ("data", "grad", "requires_grad", "_node")
     _check = True  # off only in _Rearranged
+    _parents = ()  # a leaf's, as a graph node
 
-    def __init__(self, data, parents=(), backward=None, requires_grad=False):
+    def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         if self._check:
             _check_finite(self.data)
-        self.grad = None
-        self._parents = parents
-        self._backward = backward
         self.requires_grad = requires_grad
+        self.grad = self._node = None
 
-    @property
-    def shape(self):
-        return self.data.shape
+    shape = property(lambda self: self.data.shape)
+    _layout = property(lambda self: self.data)  # a leaf's gradient takes its data's layout
+    # the op node's backward closure, replaceable (e.g. by a wrapper that times it)
+    _backward = property(lambda self: self._node and self._node._backward,
+                         lambda self, fn: setattr(self._node, "_backward", fn))
 
     def item(self):
         return float(self.data.reshape(()))
 
     def detach(self):
-        return Tensor(self.data)
+        return _Rearranged(self.data)
 
     # -- graph execution ---------------------------------------------------
 
@@ -117,9 +122,10 @@ class Tensor:
             raise ValueError("backward root must be a scalar")
         if not self.requires_grad:
             return
+        root = self._node or self  # a leaf is its own node
         topo = []
         visited = set()
-        stack = [(self, False)]
+        stack = [(root, False)]
         while stack:
             node, done = stack.pop()
             if done:
@@ -132,18 +138,19 @@ class Tensor:
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if p.requires_grad and id(p) not in visited:
+                if p is not None and id(p) not in visited:
                     stack.append((p, False))
-        self.grad = np.ones_like(self.data)
+        root.grad = np.ones_like(self.data)
         while topo:
             node = topo.pop()
             if not node._parents:
                 continue  # a leaf keeps its gradient
             # an op may hand its g over to a parent; the root keeps its own
-            node._backward(node.grad.copy() if node is self else node.grad)
+            node._backward(node.grad.copy() if node is root else node.grad, *node._parents)
             node._backward = node._parents = None
-            if node is not self:
+            if node is not root:
                 node.grad = None
+        self.grad = root.grad
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -174,6 +181,22 @@ class _Rearranged(Tensor):
     _check = False
 
 
+_C_ORDER = np.empty(())  # empty_like(_C_ORDER, shape=s) is C-ordered for any s
+
+
+class _Node:
+    """An op output's graph node: its parents' nodes (None for a constant),
+    backward closure and gradient, and of its data only the shape and a
+    layout for the first gradient (`_C_ORDER`, or up to 2 entries per axis)."""
+
+    __slots__ = ("grad", "_parents", "_backward", "shape", "_layout")
+
+    def __init__(self, data, parents, backward):
+        self.grad, self._parents, self._backward, self.shape = None, parents, backward, data.shape
+        self._layout = (_C_ORDER if data.flags.c_contiguous
+                        else data[(slice(0, 2),) * data.ndim].copy(order="K"))
+
+
 # -- op plumbing -------------------------------------------------------------
 
 
@@ -183,29 +206,34 @@ def _wrap(x):
 
 def _make(data, parents, backward, cls=Tensor):
     try:
-        if _grad_enabled and any(p.requires_grad for p in parents):
-            return cls(data, parents=parents, backward=backward, requires_grad=True)
-        return cls(data)
+        out = cls(data)
     except NonFiniteError:
         op = backward.__qualname__.partition(".")[0]  # "<op>.<locals>.bwd"
         raise NonFiniteError(f"non-finite output of {op}") from None
+    if _grad_enabled and any(p.requires_grad for p in parents):
+        nodes = tuple(p._node or (p if p.requires_grad else None) for p in parents)
+        out._node = _Node(out.data, nodes, backward)
+        out.requires_grad = True
+    return out
 
 
-def _accum(t, g, fresh=False):
-    """Add g to t's gradient; `fresh`: g is new and handed to no other node."""
-    if not t.requires_grad:
+def _accum(n, g, fresh=False):
+    """Add g, summed down to node n's shape, to n's gradient; n None is a
+    constant, which takes none. `fresh`: g is new and handed to no other node."""
+    if n is None:
         return
-    if t.grad is None:
-        # The gradient gets t.data's memory layout whatever g's is, and the
+    g = _unbroadcast(g, n.shape)
+    if n.grad is None:
+        # The gradient gets n's data layout whatever g's is, and the
         # layout fixes the order in which reductions sum it. A fresh g with
         # that layout is taken as it is; any other g is copied.
-        if fresh and g.flags.c_contiguous and t.data.flags.c_contiguous:
-            t.grad = g
+        if fresh and g.flags.c_contiguous and n._layout.flags.c_contiguous:
+            n.grad = g
         else:
-            t.grad = np.empty_like(t.data)
-            np.copyto(t.grad, g)
+            n.grad = np.empty_like(n._layout, shape=n.shape)
+            np.copyto(n.grad, g)
     else:
-        t.grad += g
+        n.grad += g
 
 
 def _unbroadcast(g, shape):
@@ -227,10 +255,10 @@ def _unbroadcast(g, shape):
 def add(a, b):
     a, b = _wrap(a), _wrap(b)
 
-    def bwd(g):
+    def bwd(g, a, b):
         # g is this node's own gradient, dropped after this call
-        _accum(a, _unbroadcast(g, a.data.shape), fresh=True)
-        _accum(b, _unbroadcast(g, b.data.shape))
+        _accum(a, g, fresh=True)
+        _accum(b, g)
 
     return _make(a.data + b.data, (a, b), bwd)
 
@@ -238,19 +266,23 @@ def add(a, b):
 def sub(a, b):
     a, b = _wrap(a), _wrap(b)
 
-    def bwd(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(-g, b.data.shape))
+    def bwd(g, a, b):
+        _accum(a, g, fresh=True)  # b gets the new array -g
+        _accum(b, -g, fresh=True)
 
     return _make(a.data - b.data, (a, b), bwd)
 
 
 def mul(a, b):
     a, b = _wrap(a), _wrap(b)
+    ad = a.data if b.requires_grad else None  # each gradient reads the other operand
+    bd = b.data if a.requires_grad else None
 
-    def bwd(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+    def bwd(g, a, b):
+        if a is not None:
+            _accum(a, g * bd)
+        if b is not None:
+            _accum(b, g * ad)
 
     return _make(a.data * b.data, (a, b), bwd)
 
@@ -259,7 +291,7 @@ def leaky_relu(a, slope=0.01):
     a = _wrap(a)
     pos = a.data > 0
 
-    def bwd(g):
+    def bwd(g, a):
         _accum(a, g * np.where(pos, 1.0, slope))
 
     return _make(np.where(pos, a.data, slope * a.data), (a,), bwd)
@@ -269,7 +301,7 @@ def relu(a):
     a = _wrap(a)
     pos = a.data > 0
 
-    def bwd(g):
+    def bwd(g, a):
         _accum(a, g * pos, fresh=True)
 
     return _make(np.maximum(a.data, 0.0), (a,), bwd, _Rearranged)
@@ -281,8 +313,8 @@ def relu(a):
 def reshape(a, shape):
     a = _wrap(a)
 
-    def bwd(g):
-        _accum(a, g.reshape(a.data.shape), fresh=True)
+    def bwd(g, a):
+        _accum(a, g.reshape(a.shape), fresh=True)
 
     return _make(a.data.reshape(shape), (a,), bwd, _Rearranged)
 
@@ -291,7 +323,7 @@ def permute(a, axes):
     a = _wrap(a)
     inv = np.argsort(axes)
 
-    def bwd(g):
+    def bwd(g, a):
         _accum(a, g.transpose(inv))
 
     return _make(a.data.transpose(axes), (a,), bwd, _Rearranged)
@@ -302,7 +334,7 @@ def concat(parts, axis=0):
     sizes = [p.data.shape[axis] for p in parts]
     splits = np.cumsum(sizes)[:-1]
 
-    def bwd(g):
+    def bwd(g, *parts):
         for p, gp in zip(parts, np.split(g, splits, axis=axis)):
             _accum(p, gp)
 
@@ -315,12 +347,10 @@ def take_rows(a, idx):
     a = _wrap(a)
     idx = np.asarray(idx, dtype=np.int64)
 
-    def bwd(g):
-        if not a.requires_grad:
-            return
+    def bwd(g, a):
         if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        np.add.at(a.grad, idx.reshape(-1), g.reshape((-1,) + a.data.shape[1:]))
+            a.grad = np.zeros_like(a._layout, shape=a.shape)
+        np.add.at(a.grad, idx.reshape(-1), g.reshape((-1,) + a.shape[1:]))
 
     return _make(a.data[idx], (a,), bwd, _Rearranged)
 
@@ -333,11 +363,9 @@ def take_steps(a, idx):
     idx = np.asarray(idx, dtype=np.int64)
     rows = np.arange(a.data.shape[0]).reshape((-1,) + (1,) * (idx.ndim - 1))
 
-    def bwd(g):
-        if not a.requires_grad:
-            return
+    def bwd(g, a):
         if a.grad is None:
-            a.grad = np.zeros_like(a.data)
+            a.grad = np.zeros_like(a._layout, shape=a.shape)
         np.add.at(a.grad, (rows, idx), g)
 
     return _make(a.data[rows, idx], (a,), bwd, _Rearranged)
@@ -349,9 +377,9 @@ def take_steps(a, idx):
 def tsum(a, axis=None, keepdims=False):
     a = _wrap(a)
 
-    def bwd(g):
+    def bwd(g, a):
         gg = g if keepdims or axis is None else np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(gg, a.data.shape).copy())
+        _accum(a, np.broadcast_to(gg, a.shape).copy(), fresh=True)
 
     return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), bwd)
 
@@ -363,9 +391,9 @@ def tmean(a, axis=None, keepdims=False):
     else:
         n = a.data.shape[axis]
 
-    def bwd(g):
+    def bwd(g, a):
         gg = g if keepdims or axis is None else np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(gg / n, a.data.shape).copy())
+        _accum(a, np.broadcast_to(gg / n, a.shape).copy(), fresh=True)
 
     return _make(a.data.mean(axis=axis, keepdims=keepdims), (a,), bwd)
 
@@ -380,7 +408,7 @@ def softmax(a, axis=-1):
     e = np.exp(shifted)
     out_data = e / e.sum(axis=axis, keepdims=True)
 
-    def bwd(g):
+    def bwd(g, a):
         dot = (g * out_data).sum(axis=axis, keepdims=True)
         _accum(a, out_data * (g - dot))
 
@@ -397,7 +425,7 @@ def logsumexp(a, axis=-1, keepdims=False):
     if not keepdims:
         out_data = np.squeeze(out_data, axis=axis)
 
-    def bwd(g):
+    def bwd(g, a):
         gg = g if keepdims else np.expand_dims(g, axis)
         _accum(a, soft * gg)
 
@@ -416,16 +444,16 @@ def linear(x, W, b):
     x, W, b = _wrap(x), _wrap(W), _wrap(b)
     if x.data.ndim < 2 or W.data.ndim != 2:
         raise ValueError("linear needs x with ndim >= 2 and a 2-D W")
+    xd, Wd = x.data, W.data  # W's gradient reads x, and x's reads W
     out_data = np.matmul(x.data, W.data)
     out_data += b.data
 
-    def bwd(g):
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g, b.data.shape))
-        if x.requires_grad:
-            _accum(x, np.matmul(g, W.data.T), fresh=True)
-        if W.requires_grad:
-            _accum(W, x.data.reshape(-1, x.data.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+    def bwd(g, x, W, b):
+        _accum(b, g)
+        if x is not None:
+            _accum(x, np.matmul(g, Wd.T), fresh=True)
+        if W is not None:
+            _accum(W, xd.reshape(-1, xd.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
 
     # Parent order makes the graph walk visit b, W, x as it did the chain.
     return _make(out_data, (x, W, b), bwd)
@@ -441,6 +469,7 @@ def layer_norm(x, gamma, beta):
     contributions (through xc, then through mu) as two `_accum` calls.
     """
     x, gamma, beta = _wrap(x), _wrap(gamma), _wrap(beta)
+    gd = gamma.data
     n = x.data.shape[-1]
     p = -0.5
     mu = x.data.mean(axis=-1, keepdims=True)
@@ -454,14 +483,13 @@ def layer_norm(x, gamma, beta):
     out_data = xhat * gamma.data
     out_data += beta.data
 
-    def bwd(g):
-        if beta.requires_grad:
-            _accum(beta, _unbroadcast(g, beta.data.shape))
-        if gamma.requires_grad:  # xhat = xc * inv again, not kept
-            _accum(gamma, _unbroadcast(g * (xc * inv), gamma.data.shape))
-        if not x.requires_grad:
+    def bwd(g, x, gamma, beta):
+        _accum(beta, g)
+        if gamma is not None:  # xhat = xc * inv again, not kept
+            _accum(gamma, g * (xc * inv))
+        if x is None:
             return
-        g_xhat = g * gamma.data
+        g_xhat = g * gd
         g_xc = g_xhat * inv
         g_inv = _unbroadcast(g_xhat * xc, inv.shape)
         g_var = g_inv * p * np.power(ve, p - 1.0)
@@ -470,7 +498,7 @@ def layer_norm(x, gamma, beta):
         g_xc += g_sq_xc
         _accum(x, g_xc, fresh=True)  # may now be x.grad: read once more, then added to
         g_mu = _unbroadcast(-g_xc, mu.shape)
-        _accum(x, np.broadcast_to(g_mu / n, x.data.shape))
+        _accum(x, np.broadcast_to(g_mu / n, x.shape))
 
     # Parent order makes the graph walk visit beta, gamma, x as it did the chain.
     return _make(out_data, (x, gamma, beta), bwd)
@@ -491,6 +519,7 @@ def masked_attention(q, k, v, mask, scale):
     q, k, v = _wrap(q), _wrap(k), _wrap(v)
     if q.data.ndim < 2 or k.data.ndim < 2:
         raise ValueError("masked_attention needs q and k with ndim >= 2")
+    qd, vd = q.data, v.data
     scale = _wrap(scale).data
     kt = np.swapaxes(k.data, -1, -2)
     scores = np.matmul(q.data, kt)
@@ -503,21 +532,21 @@ def masked_attention(q, k, v, mask, scale):
     probs = np.exp(scores)
     probs /= probs.sum(axis=-1, keepdims=True)
 
-    def bwd(g):
-        if v.requires_grad:
+    def bwd(g, q, k, v):
+        if v is not None:
             gv = np.matmul(np.swapaxes(probs, -1, -2), g)
-            _accum(v, _unbroadcast(gv, v.data.shape), fresh=True)
-        if not (q.requires_grad or k.requires_grad):
+            _accum(v, gv, fresh=True)
+        if q is None and k is None:
             return
-        g_probs = np.matmul(g, np.swapaxes(v.data, -1, -2))
+        g_probs = np.matmul(g, np.swapaxes(vd, -1, -2))
         g_scores = g_probs - (g_probs * probs).sum(axis=-1, keepdims=True)
         g_scores *= probs
         g_scores *= scale
-        if q.requires_grad:
+        if q is not None:
             gq = np.matmul(g_scores, np.swapaxes(kt, -1, -2))
-            _accum(q, _unbroadcast(gq, q.data.shape), fresh=True)
-        if k.requires_grad:
-            gkt = np.matmul(np.swapaxes(q.data, -1, -2), g_scores)
+            _accum(q, gq, fresh=True)
+        if k is not None:
+            gkt = np.matmul(np.swapaxes(qd, -1, -2), g_scores)
             _accum(k, np.swapaxes(_unbroadcast(gkt, kt.shape), -1, -2))
 
     # Parent order makes the graph walk visit v, k, q as it did the chain.
@@ -543,7 +572,7 @@ def dropout(x, p, rng, rows=None, length=None):
         u = rng.random((n, length) + x.data.shape[2:])[np.arange(n)[:, None], rows]
     kept = u >= p  # saved as bools; the scaled mask is made again in backward
 
-    def bwd(g):
+    def bwd(g, x):
         _accum(x, g * (kept / (1.0 - p)), fresh=True)
 
     # At p == 1 every output entry is inf or nan.
@@ -572,7 +601,8 @@ def gru_layer(x, lengths, Wxr, Whr, br, Wxz, Whz, bz, Wxn, Whn, bn):
     weights = tuple(_wrap(w) for w in (Wxr, Whr, br, Wxz, Whz, bz, Wxn, Whn, bn))
     Wxr, Whr, br, Wxz, Whz, bz, Wxn, Whn, bn = weights
     parents = (x,) + weights
-    b, t, _ = x.data.shape
+    wd = [w.data for w in weights]
+    b, t, d_in = x.data.shape
     lengths = np.asarray(lengths)
     # (T, B, 1): alive[s] is the chain's per-step mask
     alive = (lengths > np.arange(t)[:, None]).astype(np.float64)[:, :, None]
@@ -601,16 +631,16 @@ def gru_layer(x, lengths, Wxr, Whr, br, Wxz, Whz, bz, Wxn, Whn, bn):
         if keep:
             gates.append((r, z, n, hWn))
 
-    def bwd(g):
-        def gate(gpre, gpre_h, Wx, Wh, bias, xt, h):
-            """Give one gate's weights their step contribution; return the
-            gradient parts for x_t and h."""
-            _accum(bias, _unbroadcast(gpre, bias.data.shape))
-            _accum(Wx, np.matmul(xt.T, gpre))
-            _accum(Wh, np.matmul(h.T, gpre_h))
-            return np.matmul(gpre, Wx.data.T), np.matmul(gpre_h, Wh.data.T)
+    def bwd(g, x, *w):
+        def gate(gpre, gpre_h, i, xt, h):
+            """Give gate i's weights (Wx, Wh and bias are w[i:i + 3]) their
+            step contribution; return the gradient parts for x_t and h."""
+            _accum(w[i + 2], gpre)
+            _accum(w[i], np.matmul(xt.T, gpre))
+            _accum(w[i + 1], np.matmul(h.T, gpre_h))
+            return np.matmul(gpre, wd[i].T), np.matmul(gpre_h, wd[i + 1].T)
 
-        gx = np.empty_like(x.data)
+        gx = np.empty((b, t, d_in))
         gh = g[:, t - 1].copy()
         for s in reversed(range(t)):
             r, z, n, hWn = gates[s]
@@ -619,13 +649,13 @@ def gru_layer(x, lengths, Wxr, Whr, br, Wxz, Whz, bz, Wxn, Whn, bn):
             gn = ghn * (1.0 - z)
             gz = -(ghn * n)
             gpre = gn * (1.0 - n * n)
-            gxt, gh_via_n = gate(gpre, gpre * r, Wxn, Whn, bn, xt, h)
+            gxt, gh_via_n = gate(gpre, gpre * r, 6, xt, h)
             gpre = gpre * hWn * r * (1.0 - r)  # r's gradient, through the sigmoid
-            gx_r, gh_via_r = gate(gpre, gpre, Wxr, Whr, br, xt, h)
+            gx_r, gh_via_r = gate(gpre, gpre, 0, xt, h)
             gxt += gx_r
             gz += ghn * h
             gpre = gz * z * (1.0 - z)
-            gx_z, gh_via_z = gate(gpre, gpre, Wxz, Whz, bz, xt, h)
+            gx_z, gh_via_z = gate(gpre, gpre, 3, xt, h)
             gxt += gx_z
             gx[:, s] = gxt
             if s > 0:  # the state before step 0 is a constant
@@ -636,7 +666,7 @@ def gru_layer(x, lengths, Wxr, Whr, br, Wxz, Whz, bz, Wxn, Whn, bn):
                 gh_prev += gh_via_z
                 gh_prev += gh * (1.0 - a)
                 gh = gh_prev
-        _accum(x, gx)
+        _accum(x, gx, fresh=True)
 
     return _make(np.ascontiguousarray(np.swapaxes(hs[1:], 0, 1)), parents, bwd)
 

@@ -46,7 +46,11 @@ class Model(Module):
     def state(self):
         return {p.name: p.data.copy() for p in self.params()}
 
-    def load_state(self, state):
+    def load_state(self, state, config=None):
+        """Check every parameter array of `state`, then load them. `config`,
+        the flat config a checkpoint was saved with, must also match this
+        model's in seed and every data.* and model.* entry, which fix the
+        data and the model."""
         names = {p.name for p in self.params()}
         extra = [name for name in state if name not in names]
         if extra:
@@ -59,6 +63,14 @@ class Model(Module):
                 raise ValueError(f"shape mismatch for {p.name}")
             if not np.isfinite(state[p.name]).all():
                 raise ValueError(f"non-finite values in parameter {p.name}")
+        if config is not None:
+            current = json.loads(json.dumps(self.cfg.to_flat()))  # tuples become lists, as saved
+            for key, value in current.items():
+                saved = config.get(key)
+                if (key == "seed" or key.startswith(("data.", "model."))) and saved != value:
+                    raise ValueError(f"checkpoint config differs at {key}: "
+                                     f"saved {saved!r}, this run {value!r}")
+        for p in self.params():
             p.data = state[p.name].copy()
 
 
@@ -387,13 +399,22 @@ def run_grid(cells, catalog, dataset, progress=None):
 # -- artifacts ------------------------------------------------------------------------
 
 
+CONFIG_KEY = "__config__"  # checkpoint entry holding the flat config as JSON
+
+
 def save_checkpoint(path, model):
-    np.savez(path, **model.state())
+    """The parameters, plus the flat config as JSON under CONFIG_KEY."""
+    np.savez(path, **model.state(), **{CONFIG_KEY: json.dumps(model.cfg.to_flat())})
 
 
 def load_checkpoint(path, model):
+    """Load a checkpoint into model (`Model.load_state`), checked against its
+    saved config; a parameters-only checkpoint, as written before configs
+    were saved, loads unchecked."""
     with np.load(path) as data:
-        model.load_state({k: data[k] for k in data.files})
+        state = {k: data[k] for k in data.files}
+    config = state.pop(CONFIG_KEY, None)
+    model.load_state(state, None if config is None else json.loads(config.item()))
 
 
 def write_metrics_json(path, report):

@@ -47,16 +47,17 @@ def matmul(a, b):
     a, b = _wrap(a), _wrap(b)
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ValueError("matmul operands must have ndim >= 2")
+    ad, bd = a.data, b.data
 
-    def bwd(g):
-        if a.requires_grad:
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            _accum(a, _unbroadcast(ga, a.data.shape))
-        if b.requires_grad:
-            if b.data.ndim == 2:  # one GEMM over all rows, as in linear
-                gb = a.data.reshape(-1, a.data.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+    def bwd(g, a, b):  # a and b are the operands' graph nodes
+        if a is not None:
+            ga = np.matmul(g, np.swapaxes(bd, -1, -2))
+            _accum(a, _unbroadcast(ga, ad.shape))
+        if b is not None:
+            if bd.ndim == 2:  # one GEMM over all rows, as in linear
+                gb = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
             else:
-                gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)
+                gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bd.shape)
             _accum(b, gb)
 
     return _make(np.matmul(a.data, b.data), (a, b), bwd)
@@ -65,9 +66,10 @@ def matmul(a, b):
 def powc(a, p):
     """Elementwise power with a constant exponent."""
     a = _wrap(a)
+    ad = a.data
 
-    def bwd(g):
-        _accum(a, g * p * np.power(a.data, p - 1.0))
+    def bwd(g, a):
+        _accum(a, g * p * np.power(ad, p - 1.0))
 
     return _make(np.power(a.data, p), (a,), bwd)
 
@@ -76,7 +78,7 @@ def tanh(a):
     a = _wrap(a)
     out_data = np.tanh(a.data)
 
-    def bwd(g):
+    def bwd(g, a):
         _accum(a, g * (1.0 - out_data * out_data))
 
     return _make(out_data, (a,), bwd)
@@ -86,7 +88,7 @@ def sigmoid(a):
     a = _wrap(a)
     out_data = 1.0 / (1.0 + np.exp(-a.data))
 
-    def bwd(g):
+    def bwd(g, a):
         _accum(a, g * out_data * (1.0 - out_data))
 
     return _make(out_data, (a,), bwd)

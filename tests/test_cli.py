@@ -106,6 +106,38 @@ def test_eval_rejects_a_checkpoint_of_a_deeper_model(out_root, capsys):
     assert err.startswith("error: checkpoint holds") and "model lacks" in err
 
 
+@pytest.mark.parametrize("setting, message", [
+    ("seed=1", "seed: saved 1, this run 0"),
+    ("model.heads=4", "model.heads: saved 4, this run 2"),  # same shapes
+], ids=["seed", "model.heads"])
+def test_eval_rejects_a_checkpoint_of_another_config(setting, message, out_root, capsys):
+    run_dir = out_root / "other"
+    assert main(["train", "--out", str(run_dir), *TINY, "--set", setting]) == 0
+    capsys.readouterr()
+    eval_dir = out_root / "eval_other"
+    assert main(["eval", "--checkpoint", str(run_dir / "checkpoint.npz"),
+                 "--out", str(eval_dir), *TINY]) == 1
+    assert capsys.readouterr().err == f"error: checkpoint config differs at {message}\n"
+    assert not eval_dir.exists()
+
+
+def test_eval_loads_a_parameters_only_checkpoint(out_root, capsys):
+    # a checkpoint written before configs were saved loads unchecked
+    run_dir = out_root / "old"
+    assert main(["train", "--out", str(run_dir), *TINY]) == 0
+    with np.load(run_dir / "checkpoint.npz") as f:
+        state = dict(f)
+    assert json.loads(state.pop(trainer.CONFIG_KEY).item())["model.d"] == 8
+    np.savez(out_root / "params_only.npz", **state)
+    eval_dir = out_root / "eval_old"
+    assert main(["eval", "--checkpoint", str(out_root / "params_only.npz"),
+                 "--out", str(eval_dir), *TINY]) == 0
+    metrics = json.loads((run_dir / "metrics.json").read_text())
+    assert json.loads((eval_dir / "metrics.json").read_text()) == metrics
+    assert main(["eval", "--checkpoint", str(out_root / "params_only.npz"),
+                 *TINY, "--set", "seed=1"]) == 0
+
+
 def test_losscurve_columns(out_root):
     run_dir = out_root / "run2"
     assert main(["train", "--out", str(run_dir), *TINY]) == 0

@@ -2,6 +2,7 @@ import contextlib
 import inspect
 import itertools
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -622,6 +623,19 @@ def test_first_touch_gradients_do_not_alias():
     np.testing.assert_array_equal(x.grad, 2 * g)
 
 
+def test_first_touch_gradients_of_a_difference_do_not_alias():
+    # sub hands a its own g and b the new array -g
+    a, b = _leaf(np.ones((2, 3))), _leaf(np.ones((2, 3)))
+    w = np.arange(6.0).reshape(2, 3)
+    nm.tsum(nm.mul(nm.sub(a, b), Tensor(w))).backward()
+    np.testing.assert_array_equal(a.grad, w)
+    np.testing.assert_array_equal(b.grad, -w)
+    assert not np.shares_memory(a.grad, b.grad)
+    x = _leaf(np.ones((2, 3)))
+    nm.tsum(nm.mul(nm.sub(x, x), Tensor(w))).backward()
+    np.testing.assert_array_equal(x.grad, np.zeros((2, 3)))
+
+
 @pytest.mark.parametrize("root", ["add", "reshape"])
 def test_backward_root_keeps_its_gradient(root):
     # add and reshape hand their own gradient to a parent, which here adds a
@@ -723,7 +737,7 @@ def test_backward_frees_the_graph_it_walks(tiny_data):
     referenced as `train` holds it, NumPy memory is back to its level before
     the step: the graph and every array it saved are gone."""
     catalog, dataset = tiny_data
-    cfg = with_overrides(ExperimentConfig(), ["train.batch_size=32"])
+    cfg = with_overrides(ExperimentConfig(), ["train.batch_size=64"])
     model = trainer.build_model(cfg, catalog)
     batch = next(make_batches(dataset, cfg.train.batch_size, seed=0))
     tracemalloc.start()
@@ -738,6 +752,84 @@ def test_backward_frees_the_graph_it_walks(tiny_data):
         tracemalloc.stop()
     assert graph > 8 * 2**20  # the bound below is far below the graph's size
     assert left < 2**20, f"{left} bytes of the step's graph are still held"
+
+
+def _attention_block(x, layer, rng, keep=lambda t: None):
+    """linear, relu, linear, attention over its heads, dropout and a residual
+    add, as in a transformer layer. `keep` sees each intermediate Tensor
+    (`list.append` keeps them all alive, as graph edges did when they held
+    Tensors). Returns the scalar loss and weak references to the data of
+    the four outputs that no backward reads."""
+    h = nm.linear(x, layer.wq.W, layer.wq.b)
+    dead = [weakref.ref(h.data)]  # relu's backward reads only its mask
+    keep(h)
+    h = nm.relu(h)
+    keep(h)
+    q = _split_heads(nm.linear(h, layer.wk.W, layer.wk.b), 2)
+    keep(q)
+    att = nm.masked_attention(q, q, q, _causal(5), 0.25)
+    dead.append(weakref.ref(att.data))  # only permute reads it, as a view
+    keep(att)
+    att = nm.reshape(nm.permute(att, (0, 2, 1, 3)), x.shape)
+    dead.append(weakref.ref(att.data))  # dropout's backward reads only its mask
+    keep(att)
+    att = nm.dropout(att, 0.5, rng)
+    dead.append(weakref.ref(att.data))  # dropout's output, into a residual add
+    keep(att)
+    out = nm.add(x, att)
+    keep(out)
+    del h, q, att
+    g = Tensor(np.linspace(-1.0, 1.0, out.data.size).reshape(out.shape))
+    return nm.tsum(nm.mul(out, g)), dead
+
+
+def test_outputs_no_backward_reads_are_freed_before_backward():
+    layer = TransformerLayer(np.random.default_rng(0), 8, 2, "layer")
+    x = _leaf(np.random.default_rng(1).normal(size=(3, 5, 8)))
+    loss, dead = _attention_block(x, layer, np.random.default_rng(2))
+    assert [ref() for ref in dead] == [None] * 4  # the graph is still unconsumed
+    loss.backward()
+    grads = [x.grad] + [p.grad.copy() for p in layer.params()]
+    for p in layer.params():
+        p.zero_grad()
+    x2, held = _leaf(x.data), []
+    loss2, dead2 = _attention_block(x2, layer, np.random.default_rng(2), keep=held.append)
+    assert all(ref() is not None for ref in dead2)
+    loss2.backward()
+    assert loss2.item() == loss.item()
+    for a, b in zip(grads, [x2.grad] + [p.grad for p in layer.params()]):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_a_linear_input_lives_until_backward_consumes_its_closure():
+    rng = np.random.default_rng(4)
+    W, b = _param(rng, (8, 6), "W"), _param(rng, (6,), "b")
+    h = nm.relu(_leaf(rng.normal(size=(4, 8))))
+    ref, column_sums = weakref.ref(h.data), h.data.sum(axis=0)
+    loss = nm.tsum(nm.linear(h, W, b))
+    del h
+    assert ref() is not None  # W's gradient reads it
+    loss.backward()
+    assert ref() is None
+    np.testing.assert_allclose(W.grad, np.repeat(column_sums[:, None], 6, axis=1), rtol=1e-12)
+
+
+def test_an_op_outputs_backward_can_be_read_and_replaced():
+    # a tracer times each op's backward by wrapping `out._backward`
+    x = _leaf(np.ones((2, 3)))
+    y = nm.mul(x, 3.0)
+    assert x._backward is None and callable(y._backward)
+    inner, calls = y._backward, []
+
+    def wrapper(*args):
+        calls.append(len(args))
+        return inner(*args)
+
+    y._backward = wrapper
+    assert y._backward is wrapper
+    nm.tsum(y).backward()
+    assert calls == [3]  # its gradient and the nodes of x and of the constant 3.0 (None)
+    np.testing.assert_array_equal(x.grad, np.full((2, 3), 3.0))
 
 
 def test_detach_stops_gradient():

@@ -221,6 +221,18 @@ def test_checkpoint_roundtrip(tmp_path, tiny_data):
         np.testing.assert_array_equal(data, expected[name])
 
 
+def test_load_checkpoint_checks_the_config_before_loading(tmp_path, tiny_data):
+    catalog, _ = tiny_data
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, build_model(tiny_cfg(data__item_noise=0.5), catalog))
+    model = build_model(tiny_cfg(), catalog)  # same shapes, other data
+    before = model.state()
+    with pytest.raises(ValueError, match="differs at data.item_noise: saved 0.5, this run 0.3"):
+        load_checkpoint(path, model)
+    for name, data in model.state().items():  # nothing was loaded
+        np.testing.assert_array_equal(data, before[name])
+
+
 def first_batch(dataset, cfg):
     return next(make_batches(dataset, cfg.train.batch_size, seed=0))
 

@@ -13,8 +13,10 @@ loss still referenced. It prints, from `tracemalloc`:
 - the peak during backward, and traced memory after it;
 - the peak of a val `evaluate` over `eval.val_users` users (0: all).
 
-Traced memory counts NumPy arrays and Python objects; the arrays are
-nearly all of it. Usage:
+After the step and after the evaluate it also prints the process's peak
+resident set size so far (`getrusage` `ru_maxrss`), the number the
+benchmark's `peak_rss_mb` reports. Traced memory counts NumPy arrays and
+Python objects; the arrays are nearly all of it. Usage:
 
     python tools/memory_profile.py
     python tools/memory_profile.py --set train.batch_size=64
@@ -30,6 +32,7 @@ import argparse
 import collections
 import linecache
 import os
+import resource
 import sys
 import tracemalloc
 
@@ -44,6 +47,11 @@ TOP = 15  # lines of the by-line table
 
 def mb(n):
     return f"{n / 2**20:8.1f} MB"
+
+
+def peak_rss():
+    """Peak resident set size of this process so far (ru_maxrss is in KB on Linux)."""
+    return mb(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024)
 
 
 def numpy_by_line(snapshot, package_dir):
@@ -109,12 +117,14 @@ def main(argv=None):
     current, peak = tracemalloc.get_traced_memory()
     print(f"peak during backward         {mb(peak)}")
     print(f"after backward               {mb(current)}")
+    print(f"peak RSS after the step      {peak_rss()}")
     optimizer.step()
     optimizer.zero_grad()
     tracemalloc.reset_peak()
     trainer.evaluate(model, catalog, dataset, split="val", ks=cfg.eval.ks, n_groups=0,
                      user_limit=cfg.eval.val_users)
     print(f"peak of a val evaluate       {mb(tracemalloc.get_traced_memory()[1])}")
+    print(f"peak RSS after the evaluate  {peak_rss()}")
     tracemalloc.stop()
     return 0
 
