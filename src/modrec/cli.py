@@ -9,7 +9,10 @@ import dataclasses
 import datetime
 import json
 import os
+import platform
 import sys
+
+import numpy as np
 
 from . import __version__
 from . import datagen, trainer
@@ -25,6 +28,7 @@ def _timestamp():
 
 
 def _write_manifest(out_dir, cfg, outputs, started):
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     manifest = {
         "config": {k: v for k, v in sorted(cfg.to_flat().items())},
         "seed": cfg.seed,
@@ -32,6 +36,10 @@ def _write_manifest(out_dir, cfg, outputs, started):
         "started": started,
         "finished": _timestamp(),
         "outputs": sorted(outputs),
+        "environment": {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}",
+                        "blas_threads": {f"{lib}_NUM_THREADS": os.environ.get(f"{lib}_NUM_THREADS")
+                                         for lib in ("OPENBLAS", "OMP", "MKL")},  # unset: null
+                        "nproc": os.cpu_count(), "python": platform.python_version()},
     }
     with open(os.path.join(out_dir, "run_manifest.json"), "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)

@@ -140,7 +140,7 @@ class Tensor:
             for p in node._parents:
                 if p is not None and id(p) not in visited:
                     stack.append((p, False))
-        root.grad = np.ones_like(self.data)
+        _accum(root, np.ones_like(self.data), fresh=True)  # a leaf root adds to its gradient
         while topo:
             node = topo.pop()
             if not node._parents:

@@ -20,8 +20,7 @@ from .item_tower import build_item_tower
 from .numerics import Adam, Tensor, no_grad
 from .seq_tower import build_seq_tower
 
-EVAL_CHUNK = 256  # users encoded and ranked per evaluate() block
-EMBED_CHUNK = 512  # items per item-tower call when embedding the whole catalog
+EVAL_CHUNK = 256  # users per evaluate() block, and items per catalog-embedding block
 LOSS_COLUMNS = ("step", "epoch", "ce_v", "ce_t", "ce_id", "ce_ensemble", "ce_fused",
                 "kl_v", "kl_t", "kl_id", "ramp_w", "total", "ce_row_mean", "kl_row_mean")
 
@@ -195,8 +194,8 @@ def _all_item_embeddings(model, n_items):
     """Catalog-wide item embeddings for each sequence tower's key."""
     out = {key: [] for key in model.seq_towers}
     with no_grad():
-        for start in range(0, n_items, EMBED_CHUNK):
-            embs = model.item_embeddings(np.arange(start, min(start + EMBED_CHUNK, n_items)))
+        for start in range(0, n_items, EVAL_CHUNK):
+            embs = model.item_embeddings(np.arange(start, min(start + EVAL_CHUNK, n_items)))
             for key, parts in out.items():
                 parts.append(embs[key].data)
     return {key: np.concatenate(parts, axis=0) for key, parts in out.items()}
@@ -207,11 +206,11 @@ def evaluate(model, catalog, dataset, split="test", ks=(10, 20), n_groups=8, use
 
     split="val": input = train prefix, target = val item.
     split="test": input = prefix + val item, target = test item.
-    Every item of the input other than the target is excluded from the ranking:
-    each chunk's score matrices get -inf at those (user, item) pairs, once for
-    all keys, and `rank_full_catalog` ranks each masked row. A non-finite
-    score of a branch or of the ensemble raises `NonFiniteError` naming its
-    key.
+    Every item of the input other than the target is excluded from the ranking.
+    Per chunk of users, each key's score matrix in turn (the ensemble's last,
+    a running sum of the branches') is checked, set to -inf at the excluded
+    pairs, ranked row by row by `rank_full_catalog`, and dropped: at most two
+    are live. A non-finite score raises `NonFiniteError` naming its key.
     """
     if split not in ("val", "test"):
         raise ValueError(f"split must be val or test, got {split!r}")
@@ -241,21 +240,27 @@ def evaluate(model, catalog, dataset, split="test", ks=(10, 20), n_groups=8, use
         with no_grad():
             vecs = _user_vecs(model, item_embs, idx_mat[start:stop, : chunk_lengths.max()],
                               chunk_lengths)
-        branch_scores = {key: h.data @ item_embs[key].T for key, h in vecs.items()}
-        if len(score_keys) > 1:  # ls.ensemble_logits' arithmetic: ((s0 + s1) + s2) * (1/n)
-            s0, *rest = branch_scores.values()
-            branch_scores["ensemble"] = sum(rest, s0) * (1.0 / len(score_keys))
-        # checked before masking, so that -inf can only mean "excluded"
-        for key, scores in branch_scores.items():
-            if not np.isfinite(scores).all():
-                raise nm.NonFiniteError(f"non-finite {key} scores")
         lo, hi = np.searchsorted(pair_users, (start, stop))
         excluded = (pair_users[lo:hi] - start, pair_items[lo:hi])
         chunk_targets = targets[start:stop].tolist()
-        for key, scores in branch_scores.items():
+        ensemble = None
+        for key in report_keys:
+            if key == "ensemble":  # ls.ensemble_logits' arithmetic: ((s0 + s1) + s2) * (1/n)
+                scores = ensemble
+                scores *= 1.0 / len(score_keys)
+            else:  # the ensemble sums the unmasked matrices in tower order
+                scores = vecs[key].data @ item_embs[key].T
+                if ensemble is not None:
+                    ensemble += scores
+                elif len(score_keys) > 1:
+                    ensemble = scores.copy()
+            # checked before masking, so that -inf can only mean "excluded"
+            if not np.isfinite(scores).all():
+                raise nm.NonFiniteError(f"non-finite {key} scores")
             scores[excluded] = -np.inf
             ranks[key][start:stop] = [rank_full_catalog(score_row, t)
                                       for score_row, t in zip(scores, chunk_targets)]
+            del scores  # so that the next key's matrix is not the third one live
 
     return _metrics_report(ranks, target_groups, ks, n_groups)
 

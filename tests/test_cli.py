@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 from types import SimpleNamespace
 
 import numpy as np
@@ -40,6 +41,20 @@ def test_gen_is_byte_reproducible(out_root):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_manifest_records_the_environment(out_root, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    assert main(["gen", "--out", str(out_root / "cat"), *TINY]) == 0
+    env = json.loads((out_root / "cat" / "run_manifest.json").read_text())["environment"]
+    assert env["numpy"] == np.__version__
+    assert env["python"] == platform.python_version()
+    assert env["nproc"] == os.cpu_count()
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert env["blas"] == f"{blas['name']} {blas['version']}"
+    assert env["blas_threads"]["OPENBLAS_NUM_THREADS"] == "1"
+    assert env["blas_threads"]["MKL_NUM_THREADS"] is None  # unset
+
+
 def test_train_dry_run_prints_config_and_writes_nothing(out_root, capsys):
     assert main(["train", "--dry-run", *TINY, "--set", "seed=5"]) == 0
     flat = json.loads(capsys.readouterr().out)
@@ -56,8 +71,10 @@ def test_train_then_eval_roundtrip(out_root, capsys):
     manifest = json.loads((run_dir / "run_manifest.json").read_text())
     assert manifest["config"]["model.d"] == 8
     assert "checkpoint.npz" in manifest["outputs"]
+    assert set(manifest["environment"]) == {"numpy", "blas", "blas_threads", "nproc", "python"}
     metrics = json.loads((run_dir / "metrics.json").read_text())
     assert "ensemble" in metrics["branches"]
+    assert set(metrics) == {"branches", "n_users", "groups"}  # the environment stays out
 
     eval_dir = out_root / "eval1"
     capsys.readouterr()

@@ -712,6 +712,18 @@ def test_repeated_backward_accumulates():
     np.testing.assert_array_equal(p.grad, [[0.0]])
 
 
+def test_a_leaf_root_adds_to_the_gradient_it_holds():
+    # d(p)/dp = 1 is added to what earlier backward passes accumulated
+    p = Parameter(np.array(2.0), "p")
+    nm.mul(p, 3.0).backward()
+    p.backward()
+    assert p.grad == 4.0
+    x = Tensor(np.array([1.5]), requires_grad=True)
+    x.backward()
+    x.backward()
+    np.testing.assert_array_equal(x.grad, [2.0])
+
+
 def test_second_backward_through_a_consumed_graph_raises():
     p = Parameter(np.array([[2.0, 3.0]]), "p")
     mid = nm.mul(p, p)

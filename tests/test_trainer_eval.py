@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -439,6 +440,56 @@ def test_evaluate_block_masking_matches_brute_force_on_ties(monkeypatch, split):
                         lambda *args: seen.append(rank_full_catalog(*args)) or seen[-1])
     evaluate(model, SimpleNamespace(n_items=n_items), dataset, split=split, n_groups=0)
     assert seen == expected
+
+
+def test_evaluate_holds_at_most_two_score_matrices(monkeypatch):
+    """Each key's (chunk, n_items) score matrix is ranked and dropped before
+    the next one is computed, and the ensemble is summed in place: evaluate's
+    traced peak stays under three such matrices. Forming every key's matrix
+    of a chunk at once takes five, as do the temporaries of summing them."""
+    rng = np.random.default_rng(8)
+    n_users, n_items, d, chunk = 128, 5000, 4, 64
+    keys = ("v", "t", "id")
+    tables = {key: rng.normal(size=(n_items, d)) for key in keys}
+    model = SimpleNamespace(
+        seq_towers={key: ScoreRows(rng.normal(size=(n_users, d))) for key in keys},
+        item_embeddings=lambda idx, **kw: {key: nm.Tensor(tables[key][idx]) for key in keys},
+    )
+    train_rows = [rng.integers(0, n_items, size=int(rng.integers(1, 9))).tolist()
+                  for _ in range(n_users)]
+    val, test = rng.integers(0, n_items, size=(2, n_users))
+    dataset = SimpleNamespace(n_users=n_users, train=train_rows, val=val, test=test)
+    monkeypatch.setattr(trainer, "EVAL_CHUNK", chunk)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        report = evaluate(model, SimpleNamespace(n_items=n_items), dataset, n_groups=0)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert set(report["branches"]) == {*keys, "ensemble"}
+    matrix = chunk * n_items * 8
+    assert peak < 3 * matrix, f"peak {peak / matrix:.1f} score matrices"
+
+
+@pytest.mark.parametrize("fst, fusion", [("imt", "collaborative"), ("separate", "collaborative"),
+                                         ("dnn", "collaborative"), ("imt", "early")])
+def test_catalog_embeddings_do_not_depend_on_the_block_size(tiny_data, monkeypatch, fst, fusion):
+    """The item tower is row-wise, so embedding the catalog block by block
+    gives the one-block embeddings bit for bit. (A block of one item is the
+    exception: NumPy multiplies a single row as a matrix-vector product, which
+    sums in another order, so the last block here holds more than one.)"""
+    catalog, _ = tiny_data
+    model = build_model(tiny_cfg(model__fst=fst, train__fusion=fusion), catalog)
+    monkeypatch.setattr(trainer, "EVAL_CHUNK", catalog.n_items)
+    whole = trainer._all_item_embeddings(model, catalog.n_items)
+    monkeypatch.setattr(trainer, "EVAL_CHUNK", 11)
+    assert catalog.n_items % 11 > 1  # 11 blocks, the last one partial
+    blocks = trainer._all_item_embeddings(model, catalog.n_items)
+    assert whole.keys() == blocks.keys() == model.seq_towers.keys()
+    for key in whole:
+        assert np.array_equal(whole[key], blocks[key]), key
 
 
 @pytest.mark.parametrize("branches, key",

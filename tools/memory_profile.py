@@ -1,9 +1,13 @@
-"""Traced memory of one training step and one validation evaluate.
+"""Traced memory of a test evaluate, one training step and a validation evaluate.
 
 Builds the data and model of a config (the defaults plus `--set`
-overrides, as `modrec train` takes them), runs one training step to warm
-up, then a second step as `trainer.train` runs it, with the first step's
-loss still referenced. It prints, from `tracemalloc`:
+overrides, as `modrec train` takes them). At the seeded weights it runs a
+full test `evaluate`, as the benchmark's eval-full-catalog workload does,
+and prints the traced peak of each of its two phases: embedding the
+catalog, then scoring and ranking the users chunk by chunk. Then it runs
+one training step to warm up, and a second step as `trainer.train` runs
+it, with the first step's loss still referenced. It prints, from
+`tracemalloc`:
 
 - traced memory before the second step;
 - traced memory after its forward pass, and the forward's peak;
@@ -13,10 +17,13 @@ loss still referenced. It prints, from `tracemalloc`:
 - the peak during backward, and traced memory after it;
 - the peak of a val `evaluate` over `eval.val_users` users (0: all).
 
-After the step and after the evaluate it also prints the process's peak
-resident set size so far (`getrusage` `ru_maxrss`), the number the
-benchmark's `peak_rss_mb` reports. Traced memory counts NumPy arrays and
-Python objects; the arrays are nearly all of it. Usage:
+After each phase of the test evaluate, after the step and after the val
+evaluate it also prints the process's peak resident set size so far
+(`getrusage` `ru_maxrss`), the number the benchmark's `peak_rss_mb`
+reports. The test evaluate runs first, so its RSS lines show the set-up
+and the evaluate alone, as eval-full-catalog sees them. Traced memory
+counts NumPy arrays and Python objects; the arrays are nearly all of it.
+Usage:
 
     python tools/memory_profile.py
     python tools/memory_profile.py --set train.batch_size=64
@@ -68,6 +75,32 @@ def numpy_by_line(snapshot, package_dir):
     return totals
 
 
+def evaluate_by_phase(trainer, model, catalog, dataset, cfg):
+    """A full test evaluate; prints the traced peak and the peak RSS so far
+    at the end of each phase: "embedding" the catalog, then "ranking" (the
+    user vectors, score matrices and ranks, chunk by chunk). Tracing starts
+    just before it, so the peaks count only what the evaluate allocates."""
+    embed = trainer._all_item_embeddings
+    marks = []
+
+    def embed_then_mark(*args):
+        embs = embed(*args)
+        marks.append(("embedding", tracemalloc.get_traced_memory()[1], peak_rss()))
+        tracemalloc.reset_peak()
+        return embs
+
+    trainer._all_item_embeddings = embed_then_mark
+    try:
+        tracemalloc.reset_peak()
+        trainer.evaluate(model, catalog, dataset, split="test", ks=cfg.eval.ks,
+                         n_groups=cfg.eval.groups)
+        marks.append(("ranking", tracemalloc.get_traced_memory()[1], peak_rss()))
+    finally:
+        trainer._all_item_embeddings = embed
+    for phase, peak, rss in marks:
+        print(f"{'test evaluate, ' + phase:<29}{mb(peak)}  (peak RSS so far {rss.strip()})")
+
+
 def main(argv=None):
     here = os.path.dirname(os.path.abspath(__file__))
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -96,6 +129,7 @@ def main(argv=None):
                                  drop=cfg.model.dropout, drop_rng=drop_rng)[0]
 
     tracemalloc.start(FRAMES)
+    evaluate_by_phase(trainer, model, catalog, dataset, cfg)
     total = forward()
     total.backward()
     optimizer.step()
