@@ -13,8 +13,6 @@ import numpy as np
 from . import numerics as nm
 from .numerics import MASKED, Tensor
 
-LOG_EPS = 1e-12
-
 
 def _sum(terms):
     """Left-to-right sum of tensors: ((t0 + t1) + t2) + ..."""
@@ -59,10 +57,7 @@ def exclusion_mask(exclusion_sets, candidates, target_cols):
 def inbatch_ce(scores, target_cols):
     """Row-summed softmax CE over each row's columns. Scores already masked
     with `exclusion_mask` leave out each row's false negatives."""
-    target_cols = np.asarray(target_cols, dtype=np.int64)
-    lse = nm.logsumexp(scores, axis=1)
-    tgt = nm.take_steps(scores, target_cols)
-    return nm.tsum(nm.sub(lse, tgt))
+    return nm.softmax_ce(scores, target_cols)
 
 
 def collaborative_ce(branch_logits, target_cols):
@@ -83,12 +78,7 @@ def distill_kl(teacher_logits, student_logits, temperature):
     """
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
-    t = nm.mul(teacher_logits.detach(), 1.0 / temperature)
-    s = nm.mul(student_logits, 1.0 / temperature)
-    p = nm.softmax(t, axis=-1)
-    per_entry = nm.mul(p, nm.sub(nm.log_softmax(t, axis=-1), nm.log_softmax(s, axis=-1)))
-    per_row = nm.tsum(per_entry, axis=-1)
-    return nm.mul(nm.tmean(per_row), temperature * temperature)
+    return nm.softmax_kl(teacher_logits, student_logits, temperature)
 
 
 def distill_bundle(branch_logits, temperature):

@@ -7,15 +7,17 @@ module holds only ops that some model path runs; the reference chains the
 tests compare the fused ops against live beside the tests.
 
 The hot composites (`linear`, `relu`, `layer_norm`, `masked_attention`,
-`dropout`, `gru_layer`) are fused: each is one graph node instead of a
-chain of primitives. A fused op keeps the chain's arithmetic exactly. Its
-forward and backward run the same NumPy expressions in the same order, and
-its backward hands each input its gradient contributions in the chain's
-order, one `_accum` call per contribution. Results therefore match the chain bit
-for bit, except for the sign of some zeros: `relu` (`np.maximum`) returns
-+0.0 where the chain returned -0.0, and `_accum` keeps a -0.0 gradient
-entry where the chain's `0.0 + g` gave +0.0. Zeros of either sign compare
-equal, and metrics, losses and trained parameters stay byte-identical.
+`dropout`, `gru_layer`) and the losses (`softmax_ce`, the in-batch
+cross-entropy, and `softmax_kl`, the student side of the distillation KL)
+are fused: each is one graph node instead of a chain of primitives. A
+fused op keeps the chain's arithmetic exactly. Its forward and backward run
+the same NumPy expressions in the same order, and its backward hands each
+input its gradient contributions in the chain's order, one `_accum` call
+per contribution. Results therefore match the chain bit for bit, except
+for the sign of some zeros: `relu` (`np.maximum`) returns +0.0 where the
+chain returned -0.0, and `_accum` keeps a -0.0 gradient entry where the
+chain's `0.0 + g` gave +0.0. Zeros of either sign compare equal, and
+metrics, losses and trained parameters stay byte-identical.
 
 Every Tensor is checked for NaN/Inf when built, except the outputs of
 `reshape`, `permute`, `concat`, `take_rows`, `take_steps` and `relu`, which
@@ -39,7 +41,8 @@ and a `_Node`: the parents' nodes, the backward closure and the gradient; a
 leaf that requires grad is its own node. The walk calls each closure with
 its gradient and its parents' nodes, and a closure keeps only the arrays its
 backward reads: x and W for `linear`, q, k, v and the probabilities for
-`masked_attention`, both operands for `mul`, a bool mask for `dropout`
+`masked_attention`, both operands for `mul`, a bool mask for `dropout`, the
+softmax probabilities for `softmax_ce` and both sides' for `softmax_kl`
 (`layer_norm` recomputes `xhat`). So an output's data lives only while the
 caller or such a closure holds it. `Tensor.backward` consumes the graph:
 each node drops its closure and parents once its gradient is passed on, and
@@ -107,9 +110,6 @@ class Tensor:
 
     def item(self):
         return float(self.data.reshape(()))
-
-    def detach(self):
-        return _Rearranged(self.data)
 
     # -- graph execution ---------------------------------------------------
 
@@ -263,16 +263,6 @@ def add(a, b):
     return _make(a.data + b.data, (a, b), bwd)
 
 
-def sub(a, b):
-    a, b = _wrap(a), _wrap(b)
-
-    def bwd(g, a, b):
-        _accum(a, g, fresh=True)  # b gets the new array -g
-        _accum(b, -g, fresh=True)
-
-    return _make(a.data - b.data, (a, b), bwd)
-
-
 def mul(a, b):
     a, b = _wrap(a), _wrap(b)
     ad = a.data if b.requires_grad else None  # each gradient reads the other operand
@@ -369,71 +359,6 @@ def take_steps(a, idx):
         np.add.at(a.grad, (rows, idx), g)
 
     return _make(a.data[rows, idx], (a,), bwd, _Rearranged)
-
-
-# -- reductions -----------------------------------------------------------------
-
-
-def tsum(a, axis=None, keepdims=False):
-    a = _wrap(a)
-
-    def bwd(g, a):
-        gg = g if keepdims or axis is None else np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(gg, a.shape).copy(), fresh=True)
-
-    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), bwd)
-
-
-def tmean(a, axis=None, keepdims=False):
-    a = _wrap(a)
-    if axis is None:
-        n = a.data.size
-    else:
-        n = a.data.shape[axis]
-
-    def bwd(g, a):
-        gg = g if keepdims or axis is None else np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(gg / n, a.shape).copy(), fresh=True)
-
-    return _make(a.data.mean(axis=axis, keepdims=keepdims), (a,), bwd)
-
-
-# -- softmax family ---------------------------------------------------------------
-
-
-def softmax(a, axis=-1):
-    """Max-subtracted softmax along `axis`."""
-    a = _wrap(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
-
-    def bwd(g, a):
-        dot = (g * out_data).sum(axis=axis, keepdims=True)
-        _accum(a, out_data * (g - dot))
-
-    return _make(out_data, (a,), bwd)
-
-
-def logsumexp(a, axis=-1, keepdims=False):
-    a = _wrap(a)
-    m = a.data.max(axis=axis, keepdims=True)
-    e = np.exp(a.data - m)
-    s = e.sum(axis=axis, keepdims=True)
-    out_data = m + np.log(s)
-    soft = e / s
-    if not keepdims:
-        out_data = np.squeeze(out_data, axis=axis)
-
-    def bwd(g, a):
-        gg = g if keepdims else np.expand_dims(g, axis)
-        _accum(a, soft * gg)
-
-    return _make(out_data, (a,), bwd)
-
-
-def log_softmax(a, axis=-1):
-    return sub(a, logsumexp(a, axis=axis, keepdims=True))
 
 
 # -- composites used across the model ----------------------------------------------
@@ -669,6 +594,58 @@ def gru_layer(x, lengths, Wxr, Whr, br, Wxz, Whz, bz, Wxn, Whn, bn):
         _accum(x, gx, fresh=True)
 
     return _make(np.ascontiguousarray(np.swapaxes(hs[1:], 0, 1)), parents, bwd)
+
+
+# -- loss nodes ---------------------------------------------------------------------
+
+
+def _softmax_lse(x):
+    """Softmax probabilities and log-sum-exp (keepdims) of x's last axis."""
+    m = x.max(axis=-1, keepdims=True)
+    probs = np.exp(x - m)
+    total = probs.sum(axis=-1, keepdims=True)
+    lse = m + np.log(total)
+    probs /= total
+    return probs, lse
+
+
+def softmax_ce(scores, target_cols):
+    """Softmax CE of each row of 2-D `scores` against its target column,
+    summed over rows: the chain tsum(sub(logsumexp(scores, 1),
+    take_steps(scores, target_cols))). scores gets the log-sum-exp term,
+    then the target scatter, the chain's order."""
+    scores = _wrap(scores)
+    rows, cols = np.arange(scores.data.shape[0]), np.asarray(target_cols, dtype=np.int64)
+    probs, lse = _softmax_lse(scores.data)
+
+    def bwd(g, scores):
+        _accum(scores, probs * g, fresh=True)
+        scores.grad[rows, cols] -= g
+
+    return _make((lse[:, 0] - scores.data[rows, cols]).sum(), (scores,), bwd)
+
+
+def softmax_kl(teacher, student, temperature):
+    """T^2 * KL(softmax(teacher / T) || softmax(student / T)) along the last
+    axis, averaged over rows; the teacher is a constant (only its `.data` is
+    read). The chain: mul(student, 1/T), both sides' log_softmax, sub, mul
+    by the teacher's softmax, tsum, tmean, mul(T^2). The student's scaled
+    logits get the shift term, then the log-sum-exp term; then the 1/T."""
+    student = _wrap(student)
+    inv_t, tt = 1.0 / temperature, temperature * temperature
+    t, s = _wrap(teacher).data * inv_t, student.data * inv_t
+    p, lse_t = _softmax_lse(t)
+    q, lse_s = _softmax_lse(s)
+    per_row = (p * ((t - lse_t) - (s - lse_s))).sum(axis=-1)
+    n = per_row.size
+
+    def bwd(g, student):
+        g_diff = p * ((g * tt) / n)
+        gs = -g_diff
+        gs += q * g_diff.sum(axis=-1, keepdims=True)
+        _accum(student, gs * inv_t, fresh=True)
+
+    return _make(per_row.mean() * tt, (student,), bwd)
 
 
 # -- optimizer ----------------------------------------------------------------------

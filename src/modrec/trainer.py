@@ -190,12 +190,22 @@ def popularity_groups(pop, n_groups):
     return groups
 
 
+def _blocks(n):
+    """(start, stop) of EVAL_CHUNK-row blocks over n rows. A lone last row
+    joins the block before: as a matrix-vector product it would sum in
+    another order."""
+    starts = list(range(0, n, EVAL_CHUNK))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
+
+
 def _all_item_embeddings(model, n_items):
     """Catalog-wide item embeddings for each sequence tower's key."""
     out = {key: [] for key in model.seq_towers}
     with no_grad():
-        for start in range(0, n_items, EVAL_CHUNK):
-            embs = model.item_embeddings(np.arange(start, min(start + EVAL_CHUNK, n_items)))
+        for start, stop in _blocks(n_items):
+            embs = model.item_embeddings(np.arange(start, stop))
             for key, parts in out.items():
                 parts.append(embs[key].data)
     return {key: np.concatenate(parts, axis=0) for key, parts in out.items()}
@@ -234,8 +244,7 @@ def evaluate(model, catalog, dataset, split="test", ks=(10, 20), n_groups=8, use
     report_keys = score_keys + (["ensemble"] if len(score_keys) > 1 else [])
     ranks = {key: np.zeros(len(users), dtype=np.int64) for key in report_keys}
 
-    for start in range(0, len(users), EVAL_CHUNK):
-        stop = min(start + EVAL_CHUNK, len(users))
+    for start, stop in _blocks(len(users)):
         chunk_lengths = lengths[start:stop]
         with no_grad():
             vecs = _user_vecs(model, item_embs, idx_mat[start:stop, : chunk_lengths.max()],

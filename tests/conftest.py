@@ -38,7 +38,8 @@ def finite_difference_check(build, params, h=1e-5, rtol=1e-4, atol=1e-7,
 
 
 # Reference ops: no model path runs them, but the primitive chains below and
-# in test_numerics.py, which the fused ops must match, are built from them.
+# in test_numerics.py, which the fused ops must match, are built from them,
+# and the tests reduce their outputs to a scalar with `tsum`.
 
 
 def matmul(a, b):
@@ -94,6 +95,72 @@ def sigmoid(a):
     return _make(out_data, (a,), bwd)
 
 
+def sub(a, b):
+    a, b = _wrap(a), _wrap(b)
+
+    def bwd(g, a, b):
+        _accum(a, g, fresh=True)  # b gets the new array -g
+        _accum(b, -g, fresh=True)
+
+    return _make(a.data - b.data, (a, b), bwd)
+
+
+def tsum(a, axis=None, keepdims=False):
+    a = _wrap(a)
+
+    def bwd(g, a):
+        gg = g if keepdims or axis is None else np.expand_dims(g, axis)
+        _accum(a, np.broadcast_to(gg, a.shape).copy(), fresh=True)
+
+    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), bwd)
+
+
+def tmean(a, axis=None, keepdims=False):
+    a = _wrap(a)
+    n = a.data.size if axis is None else a.data.shape[axis]
+
+    def bwd(g, a):
+        gg = g if keepdims or axis is None else np.expand_dims(g, axis)
+        _accum(a, np.broadcast_to(gg / n, a.shape).copy(), fresh=True)
+
+    return _make(a.data.mean(axis=axis, keepdims=keepdims), (a,), bwd)
+
+
+def softmax(a, axis=-1):
+    """Max-subtracted softmax along `axis`."""
+    a = _wrap(a)
+    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    out_data = e / e.sum(axis=axis, keepdims=True)
+
+    def bwd(g, a):
+        dot = (g * out_data).sum(axis=axis, keepdims=True)
+        _accum(a, out_data * (g - dot))
+
+    return _make(out_data, (a,), bwd)
+
+
+def logsumexp(a, axis=-1, keepdims=False):
+    a = _wrap(a)
+    m = a.data.max(axis=axis, keepdims=True)
+    e = np.exp(a.data - m)
+    s = e.sum(axis=axis, keepdims=True)
+    out_data = m + np.log(s)
+    soft = e / s
+    if not keepdims:
+        out_data = np.squeeze(out_data, axis=axis)
+
+    def bwd(g, a):
+        gg = g if keepdims else np.expand_dims(g, axis)
+        _accum(a, soft * gg)
+
+    return _make(out_data, (a,), bwd)
+
+
+def log_softmax(a, axis=-1):
+    return sub(a, logsumexp(a, axis=axis, keepdims=True))
+
+
 def recall_ndcg(rank, k):
     """Oracle for one user: Recall@k and NDCG@k of a single relevant item
     from its 1-based rank."""
@@ -137,9 +204,9 @@ def unrolled_gru_layer(x, lengths, Wxr, Whr, br, Wxz, Whz, bz, Wxn, Whn, bn):
         r = sigmoid(nm.add(nm.add(matmul(xt, Wxr), matmul(h, Whr)), br))
         z = sigmoid(nm.add(nm.add(matmul(xt, Wxz), matmul(h, Whz)), bz))
         n = tanh(nm.add(nm.add(matmul(xt, Wxn), nm.mul(r, matmul(h, Whn))), bn))
-        h_next = nm.add(nm.mul(nm.sub(1.0, z), n), nm.mul(z, h))
+        h_next = nm.add(nm.mul(sub(1.0, z), n), nm.mul(z, h))
         alive = Tensor((np.asarray(lengths) > step).astype(np.float64)[:, None])
-        h = nm.add(nm.mul(alive, h_next), nm.mul(nm.sub(1.0, alive), h))
+        h = nm.add(nm.mul(alive, h_next), nm.mul(sub(1.0, alive), h))
         states.append(nm.reshape(h, (b, 1, h.shape[1])))
     return nm.concat(states, axis=1)
 

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import exclude_items, finite_difference_check, recall_ndcg
+from conftest import exclude_items, finite_difference_check, recall_ndcg, tsum
 from modrec import datagen, losses as ls, numerics as nm, trainer
 from modrec.config import ExperimentConfig
 from modrec.datagen import Batch, Catalog
@@ -124,7 +124,7 @@ def test_criterion_2_id_isolation_is_exact():
              and np.array_equal(before["t"].data, after["t"].data))
 
     out = masked.item_embeddings(idx)
-    nm.tsum(nm.add(out["v"], out["t"])).backward()
+    tsum(nm.add(out["v"], out["t"])).backward()
     zero_grad = (np.all(masked.id_table.grad == 0.0)
                  and np.all(masked.proj_id.W.grad == 0.0))
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import modrec
+from conftest import tsum
 from modrec import numerics as nm
 from modrec.blocks import Module, TransformerLayer, TransformerStack
 from modrec.item_tower import build_id_isolation_mask
@@ -82,7 +83,7 @@ def _run_stack(layers, mask, rows, select):
         out = stack(x, mask=mask, drop=0.3, rng=drop_rng, rows=rows)
     else:
         out = nm.take_steps(stack(x, mask=mask, drop=0.3, rng=drop_rng), rows)
-    nm.tsum(nm.mul(out, w)).backward()
+    tsum(nm.mul(out, w)).backward()
     return out.data, drop_rng.random(), [x.grad] + [p.grad for p in stack.params()]
 
 
@@ -112,7 +113,7 @@ def test_row_selected_layer_gradients_share_no_memory():
     x = Tensor(rng.normal(size=(4, 7, 8)), requires_grad=True)
     mask, rows = _row_cases()["id_isolation"]
     out = layer(x, mask=mask, drop=0.2, rng=np.random.default_rng(6), rows=rows)
-    nm.tsum(nm.mul(out, Tensor(rng.normal(size=out.shape)))).backward()
+    tsum(nm.mul(out, Tensor(rng.normal(size=out.shape)))).backward()
     grads = [x.grad] + [p.grad for p in layer.params()]
     for i, a in enumerate(grads):
         for b in grads[i + 1:]:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import finite_difference_check
+from conftest import finite_difference_check, tsum
 from modrec import numerics as nm
 from modrec.config import ModelCfg
 from modrec.datagen import Catalog
@@ -125,7 +125,7 @@ def test_masked_tower_modality_outputs_ignore_id_values():
 def test_masked_tower_modality_gradients_wrt_id_are_zero():
     _, tower = make_fused(id_mask=True)
     out = tower.item_embeddings(np.arange(4))
-    nm.tsum(nm.add(out["v"], out["t"])).backward()
+    tsum(nm.add(out["v"], out["t"])).backward()
     np.testing.assert_array_equal(tower.id_table.grad, np.zeros(tower.id_table.shape))
     np.testing.assert_array_equal(tower.proj_id.W.grad, np.zeros(tower.proj_id.W.shape))
 
@@ -156,7 +156,7 @@ def test_fused_tower_gradients_match_finite_differences():
     def build():
         out = tower.item_embeddings(np.array([0, 3, 5]))
         mix = nm.add(nm.add(out["v"], out["t"]), out["id"])
-        return nm.tsum(nm.mul(mix, w))
+        return tsum(nm.mul(mix, w))
 
     finite_difference_check(build, params, max_coords=8)
 

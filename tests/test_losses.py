@@ -23,6 +23,18 @@ def T(x):
     return Tensor(np.asarray(x, dtype=np.float64))
 
 
+def graph_nodes(t):
+    """Number of op nodes reachable from t through `_node._parents` (leaves
+    and constants not counted)."""
+    seen, stack = set(), [t._node]
+    while stack:
+        node = stack.pop()
+        if node is not None and node._parents and id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
 # -- debiased scores --------------------------------------------------------------
 
 
@@ -191,6 +203,16 @@ def test_kl_teacher_is_detached():
     distill_kl(teacher, student, 0.5).backward()
     np.testing.assert_array_equal(teacher.grad, np.zeros((2, 4)))
     assert np.any(student.grad != 0.0)
+
+
+def test_each_loss_is_one_graph_node():
+    rng = np.random.default_rng(10)
+    scores = Parameter(rng.normal(size=(3, 5)), "scores")
+    teacher = Parameter(rng.normal(size=(3, 5)), "teacher")
+    assert graph_nodes(inbatch_ce(scores, [4, 0, 4])) == 1
+    assert graph_nodes(distill_kl(teacher, scores, 0.5)) == 1
+    # an input's own nodes are counted as well
+    assert graph_nodes(inbatch_ce(nm.mul(scores, 2.0), [4, 0, 4])) == 2
 
 
 def test_kl_rejects_bad_temperature():

@@ -7,8 +7,8 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import (finite_difference_check, matmul, powc, sigmoid, tanh,
-                      unrolled_gru_layer)
+from conftest import (finite_difference_check, log_softmax, logsumexp, matmul, powc,
+                      sigmoid, softmax, sub, tanh, tmean, tsum, unrolled_gru_layer)
 from modrec import losses as ls
 from modrec import numerics as nm
 from modrec import trainer
@@ -38,27 +38,27 @@ def _swap_last(t):
 
 PRIMITIVES = {
     "add": lambda a, b: nm.add(a, b),
-    "sub": lambda a, b: nm.sub(a, b),
     "mul": lambda a, b: nm.mul(a, b),
-    "softmax": lambda a, b: nm.mul(nm.softmax(a), b),
-    "logsumexp": lambda a, b: nm.logsumexp(nm.mul(a, b), axis=-1, keepdims=True),
-    # reference ops from conftest, which the chains below are built from
-    "matmul": lambda a, b: matmul(a, _swap_last(b)),
-    "tanh": lambda a, b: tanh(nm.mul(a, b)),
-    "sigmoid": lambda a, b: sigmoid(nm.add(a, b)),
     "leaky_relu": lambda a, b: nm.leaky_relu(a, 0.01),
-    "powc": lambda a, b: powc(nm.add(nm.mul(a, a), 0.5), -0.5),
     "concat": lambda a, b: nm.concat([a, b], axis=1),
     "permute": lambda a, b: nm.permute(nm.reshape(a, (2, 5, 3)), (1, 0, 2)),
-    "mean": lambda a, b: nm.tmean(nm.mul(a, b), axis=0),
     "relu": lambda a, b: nm.relu(a),
-    "log_softmax": lambda a, b: nm.log_softmax(nm.mul(a, b), axis=0),
-    "tsum": lambda a, b: nm.tsum(nm.mul(a, b), axis=1, keepdims=True),
     "take_rows": lambda a, b: nm.take_rows(a, np.array([[0, 2], [4, 2]])),
     "take_steps": lambda a, b: nm.take_steps(nm.reshape(b, (5, 2, 3)), np.array([1, 0, 0, 1, 1])),
     # R = 2 steps per row, one row reading a step twice
     "take_steps_rows": lambda a, b: nm.take_steps(
         nm.reshape(b, (5, 2, 3)), np.array([[1, 0], [0, 0], [1, 1], [0, 1], [1, 0]])),
+    # reference ops from conftest, which the chains below are built from
+    "sub": lambda a, b: sub(a, b),
+    "softmax": lambda a, b: nm.mul(softmax(a), b),
+    "logsumexp": lambda a, b: logsumexp(nm.mul(a, b), axis=-1, keepdims=True),
+    "log_softmax": lambda a, b: log_softmax(nm.mul(a, b), axis=0),
+    "mean": lambda a, b: tmean(nm.mul(a, b), axis=0),
+    "tsum": lambda a, b: tsum(nm.mul(a, b), axis=1, keepdims=True),
+    "matmul": lambda a, b: matmul(a, _swap_last(b)),
+    "tanh": lambda a, b: tanh(nm.mul(a, b)),
+    "sigmoid": lambda a, b: sigmoid(nm.add(a, b)),
+    "powc": lambda a, b: powc(nm.add(nm.mul(a, a), 0.5), -0.5),
 }
 
 
@@ -70,7 +70,7 @@ def test_primitive_gradients_match_finite_differences(name):
     op = PRIMITIVES[name]
     # fixed random weights keep the reduction to a scalar generic
     w = Tensor(rng.normal(size=op(a, b).shape))
-    finite_difference_check(lambda: nm.tsum(nm.mul(op(a, b), w)), [a, b])
+    finite_difference_check(lambda: tsum(nm.mul(op(a, b), w)), [a, b])
 
 
 # Fused ops at the shapes the model uses them. Each entry builds a scalar
@@ -80,20 +80,20 @@ def test_primitive_gradients_match_finite_differences(name):
 def _fused_linear(rng):
     x, W, b = _param(rng, (3, 4, 5), "x"), _param(rng, (5, 6), "W"), _param(rng, (6,), "b")
     w = Tensor(rng.normal(size=(3, 4, 6)))
-    return lambda: nm.tsum(nm.mul(nm.linear(x, W, b), w)), [x, W, b]
+    return lambda: tsum(nm.mul(nm.linear(x, W, b), w)), [x, W, b]
 
 
 def _fused_layer_norm(rng):
     x, g, b = _param(rng, (3, 4, 7), "x"), _param(rng, (7,), "g"), _param(rng, (7,), "b")
     w = Tensor(rng.normal(size=(3, 4, 7)))
-    return lambda: nm.tsum(nm.mul(nm.layer_norm(x, g, b), w)), [x, g, b]
+    return lambda: tsum(nm.mul(nm.layer_norm(x, g, b), w)), [x, g, b]
 
 
 def _fused_masked_attention(rng):
     q, k, v = (_param(rng, (2, 2, 4, 3), name) for name in "qkv")
     w = Tensor(rng.normal(size=(2, 2, 4, 3)))
     mask = _causal(4)
-    return (lambda: nm.tsum(nm.mul(nm.masked_attention(q, k, v, mask, 0.7), w)),
+    return (lambda: tsum(nm.mul(nm.masked_attention(q, k, v, mask, 0.7), w)),
             [q, k, v])
 
 
@@ -101,7 +101,7 @@ def _fused_dropout(rng):
     x = _param(rng, (4, 6), "x")
     w = Tensor(rng.normal(size=(4, 6)))
     # a fresh generator per build draws the same keep mask every time
-    return (lambda: nm.tsum(nm.mul(nm.dropout(x, 0.3, np.random.default_rng(4)), w)),
+    return (lambda: tsum(nm.mul(nm.dropout(x, 0.3, np.random.default_rng(4)), w)),
             [x])
 
 
@@ -116,7 +116,7 @@ def _fused_gru_layer(rng):
     weights = _gru_weights(rng, 5, 4, Parameter)
     lengths = np.array([4, 1, 2])
     w = Tensor(rng.normal(size=(3, 4, 4)))
-    return (lambda: nm.tsum(nm.mul(nm.gru_layer(x, lengths, *weights), w)),
+    return (lambda: tsum(nm.mul(nm.gru_layer(x, lengths, *weights), w)),
             [x] + weights)
 
 
@@ -125,8 +125,20 @@ def _fused_dropout_rows(rng):
     x = _param(rng, (4, 2, 3), "x")
     rows = np.array([[4, 0], [2, 2], [1, 3], [0, 4]])
     w = Tensor(rng.normal(size=(4, 2, 3)))
-    return (lambda: nm.tsum(nm.mul(
+    return (lambda: tsum(nm.mul(
         nm.dropout(x, 0.3, np.random.default_rng(4), rows=rows, length=5), w)), [x])
+
+
+def _fused_softmax_ce(rng):
+    scores = _param(rng, (4, 5), "scores")
+    mask = np.zeros((4, 5))
+    mask[[0, 3], 1] = MASKED
+    return lambda: nm.softmax_ce(nm.add(scores, mask), [2, 0, 2, 4]), [scores]
+
+
+def _fused_softmax_kl(rng):
+    teacher, student = Tensor(rng.normal(size=(4, 5))), _param(rng, (4, 5), "student")
+    return lambda: nm.softmax_kl(teacher, student, 0.5), [student]
 
 
 FUSED = {
@@ -136,6 +148,8 @@ FUSED = {
     "masked_attention": _fused_masked_attention,
     "dropout": _fused_dropout,
     "dropout_rows": _fused_dropout_rows,
+    "softmax_ce": _fused_softmax_ce,
+    "softmax_kl": _fused_softmax_kl,
 }
 
 
@@ -280,7 +294,7 @@ def test_batched_matmul_gradients():
     a = _param(rng, (4, 3, 5), "a")
     b = _param(rng, (5, 2), "b")
     w = Tensor(rng.normal(size=(4, 3, 2)))
-    finite_difference_check(lambda: nm.tsum(nm.mul(matmul(a, b), w)), [a, b])
+    finite_difference_check(lambda: tsum(nm.mul(matmul(a, b), w)), [a, b])
 
 
 def test_layer_norm_gradients():
@@ -290,7 +304,7 @@ def test_layer_norm_gradients():
     b = _param(rng, (7,), "b")
     w = Tensor(rng.normal(size=(3, 7)))
     finite_difference_check(
-        lambda: nm.tsum(nm.mul(nm.layer_norm(x, g, b), w)), [x, g, b]
+        lambda: tsum(nm.mul(nm.layer_norm(x, g, b), w)), [x, g, b]
     )
 
 
@@ -303,7 +317,7 @@ def test_masked_attention_gradients_and_blocking():
     mask[:, 2] = MASKED  # column 2 invisible to everyone
     w = Tensor(rng.normal(size=(2, 4, 6)))
     finite_difference_check(
-        lambda: nm.tsum(nm.mul(nm.masked_attention(q, k, v, mask, 0.5), w)),
+        lambda: tsum(nm.mul(nm.masked_attention(q, k, v, mask, 0.5), w)),
         [q, k, v],
         max_coords=10,
     )
@@ -319,12 +333,12 @@ def test_take_rows_and_take_steps_gradients():
     idx = np.array([[0, 2], [2, 5]])
     w = Tensor(rng.normal(size=(2, 2, 4)))
     finite_difference_check(
-        lambda: nm.tsum(nm.mul(nm.take_rows(table, idx), w)), [table]
+        lambda: tsum(nm.mul(nm.take_rows(table, idx), w)), [table]
     )
     x = _param(rng, (3, 5, 4), "x")
     w2 = Tensor(rng.normal(size=(3, 4)))
     finite_difference_check(
-        lambda: nm.tsum(nm.mul(nm.take_steps(x, np.array([1, 0, 4])), w2)), [x]
+        lambda: tsum(nm.mul(nm.take_steps(x, np.array([1, 0, 4])), w2)), [x]
     )
 
 
@@ -342,9 +356,9 @@ def chain_relu(a):
 
 
 def chain_layer_norm(x, gamma, beta, eps=1e-5):
-    mu = nm.tmean(x, axis=-1, keepdims=True)
-    xc = nm.sub(x, mu)
-    var = nm.tmean(nm.mul(xc, xc), axis=-1, keepdims=True)
+    mu = tmean(x, axis=-1, keepdims=True)
+    xc = sub(x, mu)
+    var = tmean(nm.mul(xc, xc), axis=-1, keepdims=True)
     inv = powc(nm.add(var, eps), -0.5)
     return nm.add(nm.mul(nm.mul(xc, inv), gamma), beta)
 
@@ -353,7 +367,7 @@ def chain_masked_attention(q, k, v, mask, scale):
     scores = nm.mul(matmul(q, _swap_last(k)), scale)
     if mask is not None:
         scores = nm.add(scores, mask)
-    return matmul(nm.softmax(scores, axis=-1), v)
+    return matmul(softmax(scores, axis=-1), v)
 
 
 def chain_dropout(x, p, rng):
@@ -369,6 +383,18 @@ def chain_dropout_rows(x, p, rng, rows, length):
     return nm.mul(x, Tensor(keep[np.arange(x.shape[0])[:, None], rows]))
 
 
+def chain_softmax_ce(scores, target_cols):
+    return tsum(sub(logsumexp(scores, axis=1), nm.take_steps(scores, target_cols)))
+
+
+def chain_softmax_kl(teacher, student, temperature):
+    t = nm.mul(Tensor(teacher.data), 1.0 / temperature)  # the teacher as a constant
+    s = nm.mul(student, 1.0 / temperature)
+    p = softmax(t, axis=-1)
+    per_entry = nm.mul(p, sub(log_softmax(t, axis=-1), log_softmax(s, axis=-1)))
+    return nm.mul(tmean(tsum(per_entry, axis=-1)), temperature * temperature)
+
+
 CHAINS = {
     "gru_layer": unrolled_gru_layer,
     "linear": chain_linear,
@@ -376,6 +402,8 @@ CHAINS = {
     "layer_norm": chain_layer_norm,
     "masked_attention": chain_masked_attention,
     "dropout": chain_dropout,
+    "softmax_ce": chain_softmax_ce,
+    "softmax_kl": chain_softmax_kl,
 }
 
 
@@ -394,6 +422,11 @@ def _exact_cases(rng):
     """name -> (inputs, call(op, inputs) -> Tensor), at the model's layouts."""
     x3 = rng.normal(size=(6, 5, 8))
     mask = _causal(5)
+    # branch logits with a MASKED column and scattered MASKED entries, as
+    # exclusion_mask leaves them; no row's target is masked
+    logits = rng.normal(size=(3, 6, 9)) * 3.0
+    logits[:, :, 7] = MASKED
+    logits[:, [1, 4], [3, 0]] = MASKED
     return {
         "linear": ([x3, rng.normal(size=(8, 12)), rng.normal(size=12)],
                    lambda op, t: op(*t)),
@@ -407,6 +440,11 @@ def _exact_cases(rng):
         # ragged lengths, two rows of length 1
         "gru_layer": ([x3] + _gru_weights(rng, 8, 4, lambda a, name: a),
                       lambda op, t: op(t[0], np.array([5, 1, 3, 5, 2, 1]), *t[1:])),
+        # rows 0 and 2 share target column 2
+        "softmax_ce": ([logits[0]], lambda op, t: op(t[0], np.array([2, 0, 2, 8, 5, 1]))),
+        # the teacher leaf gets no gradient from either; 1/T = 1/0.7 rounds,
+        # so the place of the 1/T product shows
+        "softmax_kl": ([logits[1], logits[2]], lambda op, t: op(t[0], t[1], 0.7)),
     }
 
 
@@ -421,12 +459,12 @@ def test_fused_op_matches_primitive_chain_exactly(name):
         # The first term of the root reaches every leaf directly, and its
         # gradient lands first, so the op's contributions are added to an
         # existing gradient in the chain's order.
-        direct = [nm.tsum(nm.mul(t, Tensor(rng.normal(size=t.shape)))) for t in leaves]
+        direct = [tsum(nm.mul(t, Tensor(rng.normal(size=t.shape)))) for t in leaves]
         first = direct[0]
         for term in direct[1:]:
             first = nm.add(first, term)
         w = Tensor(rng.normal(size=out.shape))
-        nm.add(first, nm.tsum(nm.mul(out, w))).backward()
+        nm.add(first, tsum(nm.mul(out, w))).backward()
         results.append((out.data, [t.grad for t in leaves]))
     (fused, fused_grads), (chain, chain_grads) = results
     np.testing.assert_array_equal(fused, chain)
@@ -442,7 +480,7 @@ def test_transformer_layer_matches_primitive_chains_exactly(monkeypatch):
         layer = TransformerLayer(rng, 8, 2, "layer")
         x = _leaf(rng.normal(size=(4, 5, 8)))
         out = layer(x, mask=_causal(5), drop=0.2, rng=np.random.default_rng(6))
-        nm.tsum(nm.mul(out, Tensor(rng.normal(size=out.shape)))).backward()
+        tsum(nm.mul(out, Tensor(rng.normal(size=out.shape)))).backward()
         return [out.data, x.grad] + [p.grad for p in layer.params()]
 
     fused = run()
@@ -462,7 +500,7 @@ def test_row_selected_transformer_layer_matches_primitive_chains_exactly(monkeyp
         layer = TransformerLayer(rng, 8, 2, "layer")
         x = _leaf(rng.normal(size=(4, 5, 8)))
         out = layer(x, mask=_causal(5), drop=0.2, rng=np.random.default_rng(6), rows=rows)
-        nm.tsum(nm.mul(out, Tensor(rng.normal(size=out.shape)))).backward()
+        tsum(nm.mul(out, Tensor(rng.normal(size=out.shape)))).backward()
         return [out.data, x.grad] + [p.grad for p in layer.params()]
 
     fused = run()
@@ -484,8 +522,8 @@ def test_gru_tower_matches_unrolled_chain_exactly(monkeypatch, layers, lengths):
         x = _leaf(rng.normal(size=(5, max(lengths), 6)))
         out = tower.encode_batch(x, np.array(lengths))
         # x already holds a gradient when the tower's contributions arrive
-        first = nm.tsum(nm.mul(x, Tensor(rng.normal(size=x.shape))))
-        nm.add(first, nm.tsum(nm.mul(out, Tensor(rng.normal(size=out.shape))))).backward()
+        first = tsum(nm.mul(x, Tensor(rng.normal(size=x.shape))))
+        nm.add(first, tsum(nm.mul(out, Tensor(rng.normal(size=out.shape))))).backward()
         return [out.data, x.grad] + [p.grad for p in tower.params()]
 
     fused = run()
@@ -532,6 +570,15 @@ NON_FINITE_CASES = {
     "gru_layer_inf_x": ("gru_layer", _gru_args([[[1.0, np.inf]]])),
     **{f"gru_layer_{gate}_overflow": ("gru_layer", _gru_args(
         [[[1e200, 1e200], [1.0, 1.0]]], overflow=gate)) for gate in GRU_GATES},
+    # a row's log-sum-exp minus its target overflows; then the row sum does.
+    # Target columns are lists, so they do not become Parameters.
+    "softmax_ce_overflow": ("softmax_ce", [np.array([[1e308, -1e308]]), [1]]),
+    "softmax_ce_row_sum_overflow": ("softmax_ce", [np.array([[1e308, 0.0], [1e308, 0.0]]), [1, 1]]),
+    # teacher / T or student / T overflows
+    "softmax_kl_teacher_overflow": ("softmax_kl", [
+        np.array([[1e308, 0.0]]), np.array([[0.0, 1.0]]), 0.5]),
+    "softmax_kl_student_overflow": ("softmax_kl", [
+        np.array([[0.0, 1.0]]), np.array([[1e308, 0.0]]), 0.5]),
 }
 
 
@@ -559,6 +606,8 @@ NON_FINITE_MESSAGES = {
     "masked_attention": "non-finite masked_attention scores",
     "linear_overflow": "non-finite output of linear$",
     "dropout_p_one": "non-finite output of dropout$",
+    "softmax_ce_overflow": "non-finite output of softmax_ce$",
+    "softmax_kl_student_overflow": "non-finite output of softmax_kl$",
 }
 
 
@@ -575,12 +624,12 @@ def test_fused_op_error_names_the_op(case):
 BIG = np.full((2, 2), 1e308)
 OVERFLOW_CASES = {
     "add": (nm.add, [BIG, BIG]),
-    "sub": (nm.sub, [BIG, -BIG]),
     "mul": (nm.mul, [BIG, BIG]),
     "linear": (nm.linear, [BIG, BIG, np.zeros(2)]),
-    "tsum": (nm.tsum, [BIG]),
-    "tmean": (nm.tmean, [BIG]),
     # the reference ops check their output like the ops they stand in for
+    "sub": (sub, [BIG, -BIG]),
+    "tsum": (tsum, [BIG]),
+    "tmean": (tmean, [BIG]),
     "matmul": (matmul, [BIG, BIG]),
     "powc": (lambda a: powc(a, 2.0), [BIG]),
     # keep is 0 or 2, and rng 0 keeps some of the 4 entries
@@ -613,13 +662,13 @@ def test_first_touch_gradients_do_not_alias():
     # add hands the same g to both parents; each must get its own buffer
     a, b = _leaf(np.ones((2, 3))), _leaf(np.ones((2, 3)))
     w = np.arange(6.0).reshape(2, 3)
-    nm.tsum(nm.mul(nm.add(a, b), Tensor(w))).backward()
+    tsum(nm.mul(nm.add(a, b), Tensor(w))).backward()
     np.testing.assert_array_equal(a.grad, w)
     np.testing.assert_array_equal(b.grad, w)
     assert not np.shares_memory(a.grad, b.grad)
     x = _leaf(np.ones((2, 3)))
     g = np.random.default_rng(1).normal(size=(2, 3))
-    nm.tsum(nm.mul(nm.add(x, x), Tensor(g))).backward()
+    tsum(nm.mul(nm.add(x, x), Tensor(g))).backward()
     np.testing.assert_array_equal(x.grad, 2 * g)
 
 
@@ -627,12 +676,12 @@ def test_first_touch_gradients_of_a_difference_do_not_alias():
     # sub hands a its own g and b the new array -g
     a, b = _leaf(np.ones((2, 3))), _leaf(np.ones((2, 3)))
     w = np.arange(6.0).reshape(2, 3)
-    nm.tsum(nm.mul(nm.sub(a, b), Tensor(w))).backward()
+    tsum(nm.mul(sub(a, b), Tensor(w))).backward()
     np.testing.assert_array_equal(a.grad, w)
     np.testing.assert_array_equal(b.grad, -w)
     assert not np.shares_memory(a.grad, b.grad)
     x = _leaf(np.ones((2, 3)))
-    nm.tsum(nm.mul(nm.sub(x, x), Tensor(w))).backward()
+    tsum(nm.mul(sub(x, x), Tensor(w))).backward()
     np.testing.assert_array_equal(x.grad, np.zeros((2, 3)))
 
 
@@ -641,7 +690,7 @@ def test_backward_root_keeps_its_gradient(root):
     # add and reshape hand their own gradient to a parent, which here adds a
     # second contribution to it; the root's gradient must stay ones
     a = _leaf(np.ones((2, 3)))
-    s = nm.tsum(nm.mul(a, Tensor(np.arange(6.0).reshape(2, 3))))
+    s = tsum(nm.mul(a, Tensor(np.arange(6.0).reshape(2, 3))))
     loss = nm.add(s, s) if root == "add" else nm.reshape(nm.add(s, s), (1, 1))
     loss.backward()
     np.testing.assert_array_equal(loss.grad, np.ones_like(loss.data))
@@ -654,7 +703,7 @@ def test_transformer_layer_gradients_share_no_memory():
     layer = TransformerLayer(rng, 8, 2, "layer")
     x = _leaf(rng.normal(size=(4, 5, 8)))
     out = layer(x, mask=_causal(5), drop=0.2, rng=np.random.default_rng(6))
-    nm.tsum(nm.mul(out, Tensor(rng.normal(size=out.shape)))).backward()
+    tsum(nm.mul(out, Tensor(rng.normal(size=out.shape)))).backward()
     grads = [x.grad] + [p.grad for p in layer.params()]
     for i, a in enumerate(grads):
         for b in grads[i + 1:]:
@@ -675,7 +724,7 @@ def test_weight_gradient_matches_a_per_row_reference(op):
     x, g = rng.normal(size=(7, 5, 8)), rng.normal(size=(7, 5, 12))
     W = _param(rng, (8, 12), "W")
     out = nm.linear(x, W, np.zeros(12)) if op == "linear" else matmul(x, W)
-    nm.tsum(nm.mul(out, Tensor(g))).backward()
+    tsum(nm.mul(out, Tensor(g))).backward()
     reference = np.zeros((8, 12))
     for x_row, g_row in zip(x.reshape(-1, 8), g.reshape(-1, 12)):
         reference += np.outer(x_row, g_row)
@@ -687,12 +736,12 @@ def test_weight_gradient_matches_a_per_row_reference(op):
 
 def test_square_sum_gradient():
     p = Parameter(np.array([[1.0, 2.0, 3.0]]), "p")
-    nm.tsum(nm.mul(p, p)).backward()
+    tsum(nm.mul(p, p)).backward()
     np.testing.assert_array_equal(p.grad, [[2.0, 4.0, 6.0]])
 
 
 def test_constant_root_has_no_gradients():
-    root = nm.tsum(nm.mul(Tensor([[1.0, 2.0]]), 3.0))
+    root = tsum(nm.mul(Tensor([[1.0, 2.0]]), 3.0))
     root.backward()  # nothing reachable requires grad; must be a no-op
     assert root.grad is None
 
@@ -705,8 +754,8 @@ def test_non_scalar_root_rejected():
 
 def test_repeated_backward_accumulates():
     p = Parameter(np.array([[2.0]]), "p")
-    nm.tsum(nm.mul(p, p)).backward()
-    nm.tsum(nm.mul(p, p)).backward()
+    tsum(nm.mul(p, p)).backward()
+    tsum(nm.mul(p, p)).backward()
     np.testing.assert_array_equal(p.grad, [[8.0]])
     p.zero_grad()
     np.testing.assert_array_equal(p.grad, [[0.0]])
@@ -727,12 +776,12 @@ def test_a_leaf_root_adds_to_the_gradient_it_holds():
 def test_second_backward_through_a_consumed_graph_raises():
     p = Parameter(np.array([[2.0, 3.0]]), "p")
     mid = nm.mul(p, p)
-    root = nm.tsum(mid)
+    root = tsum(mid)
     root.backward()
     with pytest.raises(RuntimeError, match="consumed"):
         root.backward()
     with pytest.raises(RuntimeError, match="consumed"):  # mid reused in a new graph
-        nm.tsum(nm.add(mid, 1.0)).backward()
+        tsum(nm.add(mid, 1.0)).backward()
     np.testing.assert_array_equal(p.grad, [[4.0, 6.0]])  # neither walk passed a gradient
     np.testing.assert_array_equal(mid.data, [[4.0, 9.0]])  # a held Tensor keeps its data
 
@@ -792,7 +841,7 @@ def _attention_block(x, layer, rng, keep=lambda t: None):
     keep(out)
     del h, q, att
     g = Tensor(np.linspace(-1.0, 1.0, out.data.size).reshape(out.shape))
-    return nm.tsum(nm.mul(out, g)), dead
+    return tsum(nm.mul(out, g)), dead
 
 
 def test_outputs_no_backward_reads_are_freed_before_backward():
@@ -818,12 +867,29 @@ def test_a_linear_input_lives_until_backward_consumes_its_closure():
     W, b = _param(rng, (8, 6), "W"), _param(rng, (6,), "b")
     h = nm.relu(_leaf(rng.normal(size=(4, 8))))
     ref, column_sums = weakref.ref(h.data), h.data.sum(axis=0)
-    loss = nm.tsum(nm.linear(h, W, b))
+    loss = tsum(nm.linear(h, W, b))
     del h
     assert ref() is not None  # W's gradient reads it
     loss.backward()
     assert ref() is None
     np.testing.assert_allclose(W.grad, np.repeat(column_sums[:, None], 6, axis=1), rtol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["softmax_ce", "softmax_kl"])
+def test_loss_nodes_keep_only_probabilities(name):
+    # the float arrays a loss node's closure holds are softmax rows: no
+    # log-probabilities or unnormalised exponentials
+    rng = np.random.default_rng(6)
+    student = _param(rng, (3, 5), "student")
+    if name == "softmax_ce":
+        out, kept = nm.softmax_ce(student, [4, 0, 4]), 1
+    else:
+        out, kept = nm.softmax_kl(Tensor(rng.normal(size=(3, 5))), student, 0.7), 2
+    arrays = [c.cell_contents for c in out._backward.__closure__
+              if isinstance(c.cell_contents, np.ndarray) and c.cell_contents.dtype == np.float64]
+    assert len(arrays) == kept
+    for a in arrays:
+        assert a.shape == (3, 5) and np.allclose(a.sum(axis=-1), 1.0) and (a > 0).all()
 
 
 def test_an_op_outputs_backward_can_be_read_and_replaced():
@@ -839,15 +905,9 @@ def test_an_op_outputs_backward_can_be_read_and_replaced():
 
     y._backward = wrapper
     assert y._backward is wrapper
-    nm.tsum(y).backward()
+    tsum(y).backward()
     assert calls == [3]  # its gradient and the nodes of x and of the constant 3.0 (None)
     np.testing.assert_array_equal(x.grad, np.full((2, 3), 3.0))
-
-
-def test_detach_stops_gradient():
-    p = Parameter(np.array([[3.0]]), "p")
-    nm.tsum(nm.mul(p.detach(), p)).backward()
-    np.testing.assert_array_equal(p.grad, [[3.0]])
 
 
 def test_non_finite_forward_raises():
@@ -860,12 +920,12 @@ def test_non_finite_forward_raises():
 def test_no_grad_skips_graph():
     p = Parameter(np.ones((1, 1)), "p")
     with nm.no_grad():
-        out = nm.tsum(nm.mul(p, p))
+        out = tsum(nm.mul(p, p))
     assert not out.requires_grad
 
 
 def test_softmax_max_subtraction_is_stable():
-    out = nm.softmax(Tensor([[1000.0, 1000.0, MASKED]]))
+    out = softmax(Tensor([[1000.0, 1000.0, MASKED]]))
     np.testing.assert_allclose(out.data, [[0.5, 0.5, 0.0]])
 
 
@@ -882,7 +942,7 @@ def test_adam_zero_gradient_leaves_parameter_unchanged():
 def test_adam_descends_on_square():
     p = Parameter(np.array([[1.0]]), "p")
     opt = Adam([p], lr=0.1)
-    nm.tsum(nm.mul(p, p)).backward()
+    tsum(nm.mul(p, p)).backward()
     opt.step()
     assert 0.0 < p.data[0, 0] < 1.0
 
@@ -892,8 +952,8 @@ def test_adam_converges_on_shifted_square():
     opt = Adam([p], lr=0.05)
     for _ in range(500):
         opt.zero_grad()
-        diff = nm.sub(p, 3.0)
-        nm.tsum(nm.mul(diff, diff)).backward()
+        diff = sub(p, 3.0)
+        tsum(nm.mul(diff, diff)).backward()
         opt.step()
     assert abs(p.data[0, 0] - 3.0) < 1e-2
 
@@ -912,7 +972,7 @@ def test_deterministic_loss_trajectory():
         losses = []
         for _ in range(5):
             opt.zero_grad()
-            loss = nm.tsum(nm.mul(matmul(p, x), matmul(p, x)))
+            loss = tsum(nm.mul(matmul(p, x), matmul(p, x)))
             loss.backward()
             opt.step()
             losses.append(loss.item())

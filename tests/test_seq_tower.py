@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import finite_difference_check
+from conftest import finite_difference_check, tsum
 from modrec import numerics as nm
 from modrec.config import ModelCfg
 from modrec.numerics import MASKED, Tensor
@@ -90,7 +90,7 @@ def test_gradients_match_finite_differences(tower):
 
     def build():
         out = tower.encode_batch(Tensor(batched), lengths)
-        return nm.tsum(nm.mul(out, w))
+        return tsum(nm.mul(out, w))
 
     finite_difference_check(build, params, max_coords=8)
 

@@ -477,19 +477,32 @@ def test_evaluate_holds_at_most_two_score_matrices(monkeypatch):
                                          ("dnn", "collaborative"), ("imt", "early")])
 def test_catalog_embeddings_do_not_depend_on_the_block_size(tiny_data, monkeypatch, fst, fusion):
     """The item tower is row-wise, so embedding the catalog block by block
-    gives the one-block embeddings bit for bit. (A block of one item is the
-    exception: NumPy multiplies a single row as a matrix-vector product, which
-    sums in another order, so the last block here holds more than one.)"""
+    gives the one-block embeddings bit for bit. Blocks of 7 would leave a last
+    block of one item, which NumPy multiplies as a matrix-vector product that
+    sums in another order; that item joins the block before it."""
     catalog, _ = tiny_data
     model = build_model(tiny_cfg(model__fst=fst, train__fusion=fusion), catalog)
     monkeypatch.setattr(trainer, "EVAL_CHUNK", catalog.n_items)
     whole = trainer._all_item_embeddings(model, catalog.n_items)
-    monkeypatch.setattr(trainer, "EVAL_CHUNK", 11)
-    assert catalog.n_items % 11 > 1  # 11 blocks, the last one partial
-    blocks = trainer._all_item_embeddings(model, catalog.n_items)
-    assert whole.keys() == blocks.keys() == model.seq_towers.keys()
-    for key in whole:
-        assert np.array_equal(whole[key], blocks[key]), key
+    assert catalog.n_items % 11 > 1 and catalog.n_items % 7 == 1
+    for size in (11, 7):
+        monkeypatch.setattr(trainer, "EVAL_CHUNK", size)
+        blocks = trainer._all_item_embeddings(model, catalog.n_items)
+        assert whole.keys() == blocks.keys() == model.seq_towers.keys()
+        for key in whole:
+            assert np.array_equal(whole[key], blocks[key]), (size, key)
+
+
+@pytest.mark.parametrize("n, bounds", [
+    (1, [(0, 1)]),
+    (2, [(0, 2)]),
+    (257, [(0, 257)]),
+    (513, [(0, 256), (256, 513)]),
+    (2000, [(start, start + 256) for start in range(0, 1792, 256)] + [(1792, 2000)]),
+])
+def test_blocks_give_a_lone_last_row_to_the_block_before(n, bounds):
+    assert trainer.EVAL_CHUNK == 256
+    assert trainer._blocks(n) == bounds
 
 
 @pytest.mark.parametrize("branches, key",

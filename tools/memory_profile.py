@@ -6,11 +6,13 @@ full test `evaluate`, as the benchmark's eval-full-catalog workload does,
 and prints the traced peak of each of its two phases: embedding the
 catalog, then scoring and ranking the users chunk by chunk. Then it runs
 one training step to warm up, and a second step as `trainer.train` runs
-it, with the first step's loss still referenced. It prints, from
-`tracemalloc`:
+it, with the first step's loss still referenced. Both run at epoch 1, the
+first whose loss holds the distillation KL. It prints, from `tracemalloc`:
 
 - traced memory before the second step;
 - traced memory after its forward pass, and the forward's peak;
+- the graph nodes the forward pass built, and those the backward will
+  walk (reachable from the loss), counted per op;
 - the NumPy memory held after the forward pass, grouped by the `src/modrec`
   line that allocated it (each array is charged to the innermost frame
   under `src/modrec`);
@@ -48,6 +50,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402  (after the BLAS thread pin)
 
+EPOCH = 1  # of the measured steps: the ramp weight is 0 only at epoch 0
 FRAMES = 12  # traceback depth: enough to reach src/modrec from inside numpy's Python code
 TOP = 15  # lines of the by-line table
 
@@ -73,6 +76,35 @@ def numpy_by_line(snapshot, package_dir):
         else:
             totals["(outside the package)", 0] += trace.size
     return totals
+
+
+def graph_census(root):
+    """Op nodes of the graph under `root`, per op. An op is named by the
+    function its backward closure was defined in, as `numerics._make`
+    names it; leaves and constants are not nodes."""
+    counts, seen, stack = collections.Counter(), set(), [root._node]
+    while stack:
+        node = stack.pop()
+        if node is not None and node._parents and id(node) not in seen:
+            seen.add(id(node))
+            counts[node._backward.__qualname__.partition(".")[0]] += 1
+            stack.extend(node._parents)
+    return counts
+
+
+def count_nodes_built(numerics, run):
+    """run() and the number of graph nodes numerics built meanwhile."""
+    init, built = numerics._Node.__init__, [0]
+
+    def counting(node, *args):
+        built[0] += 1
+        init(node, *args)
+
+    numerics._Node.__init__ = counting
+    try:
+        return run(), built[0]
+    finally:
+        numerics._Node.__init__ = init
 
 
 def evaluate_by_phase(trainer, model, catalog, dataset, cfg):
@@ -111,7 +143,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     src = os.path.abspath(args.src)
     sys.path.insert(0, src)
-    from modrec import trainer
+    from modrec import numerics, trainer
     from modrec.cli import _resolve_data
     from modrec.config import load_config
     from modrec.datagen import make_batches
@@ -125,7 +157,7 @@ def main(argv=None):
     batches = make_batches(dataset, cfg.train.batch_size, seed=[cfg.seed, 2, 0])
 
     def forward():
-        return trainer.step_loss(model, next(batches), dataset.pop, 0,
+        return trainer.step_loss(model, next(batches), dataset.pop, EPOCH,
                                  drop=cfg.model.dropout, drop_rng=drop_rng)[0]
 
     tracemalloc.start(FRAMES)
@@ -136,7 +168,8 @@ def main(argv=None):
     optimizer.zero_grad()
     print(f"before the step              {mb(tracemalloc.get_traced_memory()[0])}")
     tracemalloc.reset_peak()
-    total = forward()  # as in train(): the last step's loss is rebound only now
+    # as in train(): the last step's loss is rebound only now
+    total, built = count_nodes_built(numerics, forward)
     current, peak = tracemalloc.get_traced_memory()
     print(f"after the forward pass       {mb(current)}  (peak {mb(peak).strip()})")
     package = os.path.join(src, "modrec") + os.sep
@@ -146,6 +179,9 @@ def main(argv=None):
         name = os.path.relpath(path, package) if line else path
         print(f"  {mb(size)}  {name}:{line}  {linecache.getline(path, line).strip()}")
     del totals
+    nodes = graph_census(total)
+    print(f"graph nodes of the step      {built} built, {sum(nodes.values())} reachable "
+          "from the loss: " + ", ".join(f"{op} {n}" for op, n in nodes.most_common()))
     tracemalloc.reset_peak()
     total.backward()
     current, peak = tracemalloc.get_traced_memory()
